@@ -1,9 +1,8 @@
 """Static determinism & invariant analysis for the repro codebase.
 
 ``repro.analysis`` enforces the parallel-correctness contract *at lint
-time*: every engine generation promises that sharded, async, and
-array-lowered paths produce removal orders bit-identical to the golden
-references, and the rules here reject the bug classes that have
+time*: every engine generation promises that sharded and array-lowered
+paths produce removal orders bit-identical to the golden references, and the rules here reject the bug classes that have
 historically threatened that promise (id()-keyed caches, unordered
 iteration feeding emission, global RNG, unsynchronized shared writes,
 undeclared env knobs, silent golden-path edits).

@@ -121,15 +121,6 @@ N_WORKERS = register(
     "repro.core.sharding",
 )
 
-ASYNC_PIPELINE = register(
-    "async_pipeline",
-    "REPRO_ASYNC",
-    "0",
-    "Enable the async pipelined train/execute Rain loop.",
-    "repro.core.sharding",
-    choices=("0", "1"),
-)
-
 ILP_ENCODER = register(
     "ilp_encoder",
     "REPRO_ILP_ENCODER",

@@ -17,8 +17,8 @@ occurred) in this repo's parallel-correctness history; see
   ``random.random``, argless ``default_rng()``) outside ``experiments/``
   instead of a threaded ``Generator``.
 - DET004 — attribute writes to shared (non-local) objects inside
-  callables handed to ``PipelineState``/thread pools/``run_sharded``
-  without visible lock protection.
+  callables handed to thread pools/``run_sharded`` without visible lock
+  protection.
 - KNOB001 — direct ``os.environ``/``os.getenv`` reads anywhere but the
   :mod:`repro.analysis.knobs` registry; plus a project check that every
   registered knob is documented in README/docs.

@@ -25,7 +25,6 @@ import sys
 from collections.abc import Callable
 
 from .experiments import (
-    async_rain,
     fig3_dblp_recall,
     fig4_f1,
     fig5_runtime,
@@ -61,7 +60,6 @@ EXPERIMENTS: dict[str, tuple[Callable, str]] = {
     "thm_a1": (thm_a1.run, "Theorem A.1 ambiguity validation"),
     "thm_c1": (thm_c1.run, "Theorem C.1 value-of-complaints validation"),
     "serving": (serving.run, "Sharded multi-query serving: serial vs workers"),
-    "async": (async_rain.run, "Async pipelined loop vs serial sharded (DBLP)"),
     "ilp_encode": (ilp_encode.run, "Tree vs array-lowered ILP encode (fig6 joins)"),
     "sweep": (scenario_sweep.run, "ENRON/Adult corruption-rate encode/solve sweep"),
 }
@@ -91,11 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--flip-fraction", type=float, default=0.5)
     serve.add_argument("--max-removals", type=int, default=20)
     serve.add_argument(
-        "--async-pipeline", action="store_true", default=None,
-        help="pipeline train/execute of the next iteration against the "
-             "current drain (default: REPRO_ASYNC, else off)",
-    )
-    serve.add_argument(
         "--check", action="store_true",
         help="re-run serially and verify the removal orders are identical",
     )
@@ -120,7 +113,7 @@ def _serve(args) -> int:
     )
     initial_params = setting.model.get_params()
 
-    def run_once(n_workers, async_pipeline):
+    def run_once(n_workers):
         setting.model.set_params(initial_params)
         debugger = RainDebugger(
             setting.database,
@@ -131,11 +124,10 @@ def _serve(args) -> int:
             method="holistic",
             rng=args.seed,
             n_workers=n_workers,
-            async_pipeline=async_pipeline,
         )
         return debugger.run(max_removals=args.max_removals)
 
-    report = run_once(args.workers, args.async_pipeline)
+    report = run_once(args.workers)
     print(f"served {len(setting.cases)} complaint cases "
           f"over {setting.n_distinct_plans} distinct plans")
     for record in report.iterations:
@@ -150,7 +142,7 @@ def _serve(args) -> int:
     print(f"removal order ({len(report.removal_order)}): "
           f"{report.removal_order}")
     if args.check:
-        serial = run_once(0, False)
+        serial = run_once(0)
         if serial.removal_order != report.removal_order:
             print("DETERMINISM CHECK FAILED: sharded != serial removal order")
             return 1
@@ -178,10 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         runner, _ = EXPERIMENTS[name]
-        try:
-            result = runner(seed=args.seed)
-        except TypeError:
-            result = runner()
+        result = runner(seed=args.seed)
         print(result.table())
         print()
         if args.out:

@@ -197,7 +197,11 @@ class ComplaintCase:
 
 
 def all_satisfied(case_results: list[tuple[ComplaintCase, QueryResult]]) -> bool:
-    """True when every complaint in every case is resolved."""
+    """True when every complaint in every case is resolved.
+
+    Walks each complaint's provenance tree; the Rain loop uses
+    :func:`all_satisfied_columnar`, which tests pin to this.
+    """
     return all(
         complaint.is_satisfied(result)
         for case, result in case_results
@@ -268,9 +272,8 @@ def all_satisfied_columnar(
     satisfaction predicates applied to the root values.  Prediction
     complaints and tree-mode results fall back to the per-complaint path.
 
-    Used by the async pipeline's drain stage; the serial loop keeps the
-    tree-walking reference, and the determinism harness pins the two to
-    identical satisfied flags.
+    This is the Rain loop's satisfaction check; :func:`all_satisfied`
+    stays as the test oracle it is pinned against.
     """
     from ..relational.compile import CompiledProvenance
 

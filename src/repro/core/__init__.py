@@ -11,10 +11,8 @@ from .interventions import RelabelDebugger
 from .rain import DebugReport, IterationRecord, RainDebugger
 from .sharding import (
     ExecuteStats,
-    PipelineState,
     execute_cases,
     fixed_shards,
-    resolve_async,
     resolve_workers,
     run_sharded,
     spawn_generators,
@@ -41,10 +39,8 @@ __all__ = [
     "RainDebugger",
     "RelabelDebugger",
     "ExecuteStats",
-    "PipelineState",
     "execute_cases",
     "fixed_shards",
-    "resolve_async",
     "resolve_workers",
     "run_sharded",
     "spawn_generators",

@@ -57,20 +57,9 @@ class RelabelDebugger(RainDebugger):
         while len(changed_order) < max_removals:
             iteration += 1
             with watch.time("train"):
-                self.model.fit(
-                    self.X_train, y_current,
-                    warm_start=self.model.is_fitted, **self.fit_kwargs,
-                )
+                self._train_stage(self.X_train, y_current)
             with watch.time("execute"):
-                case_results = [
-                    (
-                        case,
-                        self.executor.execute(
-                            plan, debug=True, provenance=self.provenance
-                        ),
-                    )
-                    for case, plan in zip(self.cases, self._plans)
-                ]
+                case_results, _ = self._execute_stage()
             context = IterationContext(
                 model=self.model,
                 X_active=self.X_train,

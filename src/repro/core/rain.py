@@ -27,6 +27,13 @@ The ``method="auto"`` heuristic matches Section 5.1: probe the TwoStep ILP
 for the number of optimal solutions; if the fix is unique, use TwoStep,
 otherwise use Holistic.
 
+Complaint satisfaction is drained columnar
+(:func:`~repro.complaints.complaint.all_satisfied_columnar`): all
+complaint nodes over one compiled result are evaluated in one vectorized
+pass instead of materializing each complained-about cell's provenance
+tree.  The flag only steers control flow under ``stop_when_satisfied``;
+it never feeds the ranking.
+
 Multi-query serving: with ``n_workers >= 1`` (or ``REPRO_N_WORKERS`` set)
 the execute stage dedupes executions by plan fingerprint — each distinct
 query runs once per iteration and its compiled provenance pool is frozen
@@ -34,31 +41,8 @@ once and shared across all cases over that plan — and shard-aware rankers
 fan per-case encode/solve work out to a thread pool
 (:mod:`~repro.core.sharding`).  Worker count never changes removal
 orders: shard partitions are worker-invariant and the run RNG is only
-consumed on the driver thread in case order.  ``provenance="tree"`` is
-the golden reference path and always runs serially.
-
-Async pipeline: with ``async_pipeline=True`` (or ``REPRO_ASYNC=1``) each
-iteration is an explicit stage graph — train and execute run on a
-dedicated FIFO stage thread (:class:`~repro.core.sharding.PipelineState`)
-while the driver ranks, selects, and drains iteration ``k``'s deferred
-diagnostics.  The stage chain ``train(k) → execute(k) → rank(k) →
-select(k) → train(k+1)`` is strict (the next refit needs the top-k
-deletion), so the overlap comes from within-stage decomposition:
-
-- complaint *satisfaction* (``all_satisfied`` materializes provenance
-  trees and never touches the model) is pure diagnostics when
-  ``stop_when_satisfied=False``, so it is deferred and evaluated while
-  the stage thread is already refitting and re-executing for ``k+1``;
-- complaint-free rankers (Loss, InfLoss — ``uses_case_results=False``)
-  rank on the driver concurrently with the execute stage, which they
-  only need for the satisfied flag.
-
-Removal orders stay bit-identical to the serial loop at every worker
-count: stages never consume the run RNG, the FIFO stage thread orders
-every model mutation exactly as the serial loop does, and iteration
-``k+1`` is only prefetched when the loop will actually continue (so the
-final fitted parameters match too).  ``provenance="tree"`` pins the
-pipeline off, exactly like it pins the worker pool.
+consumed on the driver thread in case order.  ``provenance="tree"``
+always runs serially.
 """
 
 from __future__ import annotations
@@ -67,7 +51,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..complaints.complaint import (
+# The loop drains with all_satisfied_columnar only; the tree-walking
+# all_satisfied stays bound here because bench/trace.py wraps both names
+# in this namespace.
+from ..complaints.complaint import (  # noqa: F401
     ComplaintCase,
     all_satisfied,
     all_satisfied_columnar,
@@ -81,8 +68,8 @@ from ..relational.executor import Executor, QueryResult
 from ..relational.schema import Database
 from ..relational.sql import plan_sql
 from ..utils import Stopwatch, argsort_desc, as_rng
-from .rankers import IterationContext, Ranker, WarmStartState, make_ranker
-from .sharding import PipelineState, execute_cases, resolve_async, resolve_workers
+from .rankers import IterationContext, WarmStartState, make_ranker
+from .sharding import execute_cases, resolve_workers
 
 
 @dataclass
@@ -123,6 +110,12 @@ class DebugReport:
         return float(np.mean(per_iteration)) if per_iteration else 0.0
 
 
+def _timings_since(watch: Stopwatch, before: dict[str, float]) -> dict[str, float]:
+    """Per-label seconds ``watch`` accrued since the ``before`` snapshot."""
+    after = watch.as_dict()
+    return {label: after[label] - before.get(label, 0.0) for label in after}
+
+
 class RainDebugger:
     """Complaint-driven training-data debugging for Query 2.0."""
 
@@ -144,8 +137,6 @@ class RainDebugger:
         warm_start_cg: bool = True,
         provenance: str = "compiled",
         n_workers: int | None = None,
-        shard: str = "cases",
-        async_pipeline: bool | None = None,
     ) -> None:
         if not cases and method in ("auto", "twostep", "holistic"):
             raise DebuggingError(
@@ -177,23 +168,13 @@ class RainDebugger:
                 f"provenance must be 'compiled' or 'tree', got {provenance!r}"
             )
         self.provenance = provenance
-        if shard != "cases":
-            raise DebuggingError(
-                f"shard must be 'cases' (the only supported axis), got {shard!r}"
-            )
-        self.shard = shard
-        # Sharded serving: 0 = the serial loop (untouched), >= 1 = the
-        # worker-pool path (None defers to REPRO_N_WORKERS).  The tree
-        # representation is the golden reference and never shares or
-        # dedupes executions, so it pins the worker count to 0.
+        # Sharded serving: 0 = serial execution, >= 1 = the worker-pool
+        # path (None defers to REPRO_N_WORKERS).  The tree representation
+        # never shares or dedupes executions, so it pins the worker count
+        # to 0.
         self.n_workers = resolve_workers(n_workers)
-        # Async pipeline: False = the serial loop (untouched), True = the
-        # stage-graph loop (None defers to REPRO_ASYNC).  Tree provenance
-        # pins both knobs off — it is the golden reference path.
-        self.async_pipeline = resolve_async(async_pipeline)
         if self.provenance == "tree":
             self.n_workers = 0
-            self.async_pipeline = False
         # Per-sample gradients survive across iterations while θ* is
         # unchanged; top-k deletions only slice rows out of the cached matrix.
         self._grad_cache = PerSampleGradCache()
@@ -253,11 +234,81 @@ class RainDebugger:
             )
         method = self.choose_method()
         ranker = make_ranker(method, **self.ranker_kwargs)
-        if self.async_pipeline:
-            return self._run_async(method, ranker, max_removals, k_per_iteration)
-        return self._run_serial(method, ranker, max_removals, k_per_iteration)
+        watch = Stopwatch()
+        # CG solutions carried between iterations (θ* barely moves after a
+        # top-k deletion, so the previous u / block are excellent starts).
+        warm = WarmStartState() if self.warm_start_cg else None
+        active = np.arange(self.X_train.shape[0])
+        removal_order: list[int] = []
+        iterations: list[IterationRecord] = []
+        stopped_reason = "budget"
+        iteration = 0
 
-    # -- shared stage helpers ---------------------------------------------------------
+        while len(removal_order) < max_removals:
+            iteration += 1
+            before = watch.as_dict()
+
+            X_active = self.X_train[active]
+            y_active = self.y_train[active]
+            with watch.time("train"):
+                self._train_stage(X_active, y_active)
+
+            with watch.time("execute"):
+                case_results, execute_stats = self._execute_stage()
+
+            satisfied = bool(case_results) and all_satisfied_columnar(case_results)
+            if self.stop_when_satisfied and satisfied:
+                stopped_reason = "complaints_satisfied"
+                iterations.append(
+                    IterationRecord(
+                        iteration, [], True, {}, _timings_since(watch, before)
+                    )
+                )
+                break
+
+            context = self._make_context(
+                X_active, y_active, active, case_results, watch, warm, execute_stats
+            )
+            scores = np.asarray(ranker.scores(context), dtype=np.float64)
+            if scores.shape != (active.shape[0],):
+                raise DebuggingError(
+                    f"ranker returned {scores.shape}, expected ({active.shape[0]},)"
+                )
+
+            if np.allclose(scores, scores[0]):
+                # Degenerate ranking (e.g. TwoStep found nothing to mark):
+                # removing arbitrary records would only add noise.
+                stopped_reason = "no_signal"
+                iterations.append(
+                    IterationRecord(
+                        iteration, [], satisfied, dict(context.diagnostics),
+                        _timings_since(watch, before),
+                    )
+                )
+                break
+
+            removed, active = self._select_top(
+                scores, active, warm, removal_order, max_removals, k_per_iteration
+            )
+            iterations.append(
+                IterationRecord(
+                    iteration, removed, satisfied, dict(context.diagnostics),
+                    _timings_since(watch, before),
+                )
+            )
+            if active.size == 0:
+                stopped_reason = "exhausted"
+                break
+
+        return DebugReport(
+            method=method,
+            removal_order=removal_order,
+            iterations=iterations,
+            timings=watch.as_dict(),
+            stopped_reason=stopped_reason,
+        )
+
+    # -- stages -------------------------------------------------------------------
 
     def _train_stage(self, X_active: np.ndarray, y_active: np.ndarray) -> None:
         self.model.fit(
@@ -333,237 +384,3 @@ class RainDebugger:
             else:  # ranker produced a partial block — don't carry it
                 warm.block = None
         return removed, np.delete(active, top_positions)
-
-    # -- the serial loop (the golden reference order of effects) -------------------
-
-    def _run_serial(
-        self, method: str, ranker: Ranker, max_removals: int, k_per_iteration: int
-    ) -> DebugReport:
-        watch = Stopwatch()
-        # CG solutions carried between iterations (θ* barely moves after a
-        # top-k deletion, so the previous u / block are excellent starts).
-        warm = WarmStartState() if self.warm_start_cg else None
-        active = np.arange(self.X_train.shape[0])
-        removal_order: list[int] = []
-        iterations: list[IterationRecord] = []
-        stopped_reason = "budget"
-        iteration = 0
-
-        while len(removal_order) < max_removals:
-            iteration += 1
-            before = watch.as_dict()
-
-            X_active = self.X_train[active]
-            y_active = self.y_train[active]
-            with watch.time("train"):
-                self._train_stage(X_active, y_active)
-
-            with watch.time("execute"):
-                case_results, execute_stats = self._execute_stage()
-
-            satisfied = bool(case_results) and all_satisfied(case_results)
-            if self.stop_when_satisfied and satisfied:
-                stopped_reason = "complaints_satisfied"
-                iterations.append(
-                    IterationRecord(iteration, [], True, {}, {})
-                )
-                break
-
-            context = self._make_context(
-                X_active, y_active, active, case_results, watch, warm, execute_stats
-            )
-            scores = np.asarray(ranker.scores(context), dtype=np.float64)
-            if scores.shape != (active.shape[0],):
-                raise DebuggingError(
-                    f"ranker returned {scores.shape}, expected ({active.shape[0]},)"
-                )
-
-            if np.allclose(scores, scores[0]):
-                # Degenerate ranking (e.g. TwoStep found nothing to mark):
-                # removing arbitrary records would only add noise.
-                stopped_reason = "no_signal"
-                iterations.append(
-                    IterationRecord(
-                        iteration, [], satisfied, dict(context.diagnostics), {}
-                    )
-                )
-                break
-
-            removed, active = self._select_top(
-                scores, active, warm, removal_order, max_removals, k_per_iteration
-            )
-
-            after = watch.as_dict()
-            step_timings = {
-                label: after.get(label, 0.0) - before.get(label, 0.0)
-                for label in after
-            }
-            iterations.append(
-                IterationRecord(
-                    iteration, removed, satisfied, dict(context.diagnostics), step_timings
-                )
-            )
-            if active.size == 0:
-                stopped_reason = "exhausted"
-                break
-
-        return DebugReport(
-            method=method,
-            removal_order=removal_order,
-            iterations=iterations,
-            timings=watch.as_dict(),
-            stopped_reason=stopped_reason,
-        )
-
-    # -- the async pipelined loop ---------------------------------------------------
-
-    def _run_async(
-        self, method: str, ranker: Ranker, max_removals: int, k_per_iteration: int
-    ) -> DebugReport:
-        """The stage-graph loop: same effects as :meth:`_run_serial`, pipelined.
-
-        A dedicated FIFO stage thread runs ``train(k) → execute(k) →
-        train(k+1) → …`` while the driver ranks and selects.  Three
-        overlaps, all invisible to the removal order:
-
-        - iteration ``k``'s complaint-satisfaction check (pure provenance
-          evaluation) is deferred until after the ``k+1`` prefetch is
-          submitted, so it runs while the stage thread refits;
-        - complaint-free rankers (``uses_case_results=False``) rank on the
-          driver while ``execute(k)`` is still in flight — both only read
-          the iteration-``k`` parameters;
-        - ``train(k+1)``/``execute(k+1)`` start as soon as the top-k is
-          known, before iteration ``k``'s record is even assembled.
-
-        ``stop_when_satisfied=True`` degrades gracefully: the satisfied
-        check must gate ranking, so it is evaluated synchronously and only
-        the prefetch overlap remains.  Per-iteration ``timings`` diffs
-        blur across overlapped stages here; the report-level totals stay
-        exact per stage.
-        """
-        watch = Stopwatch()
-        warm = WarmStartState() if self.warm_start_cg else None
-        active = np.arange(self.X_train.shape[0])
-        removal_order: list[int] = []
-        iterations: list[IterationRecord] = []
-        stopped_reason = "budget"
-        iteration = 0
-
-        def train_stage(X_active, y_active):
-            with watch.time("train"):
-                self._train_stage(X_active, y_active)
-
-        def execute_stage():
-            with watch.time("execute"):
-                return self._execute_stage()
-
-        with PipelineState(grad_cache=self._grad_cache, warm_start=warm) as pipe:
-            train_future = pipe.submit_train(
-                train_stage, self.X_train[active], self.y_train[active]
-            )
-            execute_future = pipe.submit_execute(execute_stage)
-
-            while len(removal_order) < max_removals:
-                iteration += 1
-                before = watch.as_dict()
-                X_active = self.X_train[active]
-                y_active = self.y_train[active]
-                train_future.result()  # θ_k ready; execute(k) may still run
-
-                executed = None
-                if ranker.uses_case_results or self.stop_when_satisfied:
-                    executed = execute_future.result()
-
-                if self.stop_when_satisfied:
-                    case_results, _ = executed
-                    if bool(case_results) and all_satisfied_columnar(case_results):
-                        stopped_reason = "complaints_satisfied"
-                        iterations.append(
-                            IterationRecord(iteration, [], True, {}, {})
-                        )
-                        break
-
-                case_results, execute_stats = (
-                    executed if executed is not None else ([], None)
-                )
-                context = self._make_context(
-                    X_active, y_active, active, case_results, watch, warm,
-                    execute_stats,
-                )
-                scores = np.asarray(ranker.scores(context), dtype=np.float64)
-                if scores.shape != (active.shape[0],):
-                    raise DebuggingError(
-                        f"ranker returned {scores.shape}, expected "
-                        f"({active.shape[0]},)"
-                    )
-
-                if np.allclose(scores, scores[0]):
-                    stopped_reason = "no_signal"
-                    if executed is None:
-                        executed = execute_future.result()
-                        case_results, execute_stats = executed
-                        if execute_stats is not None:
-                            context.diagnostics["execute_cache"] = (
-                                execute_stats.as_dict()
-                            )
-                    satisfied = bool(case_results) and all_satisfied_columnar(case_results)
-                    iterations.append(
-                        IterationRecord(
-                            iteration, [], satisfied, dict(context.diagnostics), {}
-                        )
-                    )
-                    break
-
-                removed, active = self._select_top(
-                    scores, active, warm, removal_order, max_removals,
-                    k_per_iteration,
-                )
-
-                # Prefetch iteration k+1 only when the loop will continue, so
-                # the final fitted parameters match the serial loop exactly.
-                will_continue = (
-                    len(removal_order) < max_removals and active.size > 0
-                )
-                next_train = next_execute = None
-                if will_continue:
-                    next_train = pipe.submit_train(
-                        train_stage, self.X_train[active], self.y_train[active]
-                    )
-                    next_execute = pipe.submit_execute(execute_stage)
-
-                # Drain iteration k's deferred diagnostics, overlapping the
-                # prefetch: all_satisfied materializes provenance trees from
-                # k's results and never calls the model, so it is safe while
-                # train(k+1) mutates θ on the stage thread.
-                if executed is None:
-                    executed = execute_future.result()
-                    case_results, execute_stats = executed
-                    if execute_stats is not None:
-                        context.diagnostics["execute_cache"] = (
-                            execute_stats.as_dict()
-                        )
-                satisfied = bool(case_results) and all_satisfied_columnar(case_results)
-
-                after = watch.as_dict()
-                step_timings = {
-                    label: after.get(label, 0.0) - before.get(label, 0.0)
-                    for label in after
-                }
-                iterations.append(
-                    IterationRecord(
-                        iteration, removed, satisfied,
-                        dict(context.diagnostics), step_timings,
-                    )
-                )
-                if not will_continue and active.size == 0:
-                    stopped_reason = "exhausted"
-                    break
-                train_future, execute_future = next_train, next_execute
-
-        return DebugReport(
-            method=method,
-            removal_order=removal_order,
-            iterations=iterations,
-            timings=watch.as_dict(),
-            stopped_reason=stopped_reason,
-        )

@@ -129,11 +129,6 @@ class Ranker:
     """Interface: one score per active training record, higher = remove first."""
 
     name = "ranker"
-    #: Whether :meth:`scores` reads ``ctx.case_results``.  Complaint-free
-    #: baselines (Loss, InfLoss) rank from the training set alone; the
-    #: async pipeline uses this to run their rank stage on the driver
-    #: while the execute stage is still in flight on the stage thread.
-    uses_case_results = True
 
     def scores(self, ctx: IterationContext) -> np.ndarray:
         raise NotImplementedError
@@ -143,7 +138,6 @@ class LossRanker(Ranker):
     """Rank by training loss, highest first (the Loss baseline)."""
 
     name = "loss"
-    uses_case_results = False
 
     def scores(self, ctx: IterationContext) -> np.ndarray:
         with ctx.watch.time("rank"):
@@ -162,7 +156,6 @@ class InfLossRanker(Ranker):
     """
 
     name = "infloss"
-    uses_case_results = False
 
     def __init__(self, max_records: int | None = None, solver: str = "block") -> None:
         if solver not in ("block", "scalar"):

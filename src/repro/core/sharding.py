@@ -9,9 +9,8 @@ This module supplies the worker pool and the shard bookkeeping the
 driver and rankers use to exploit that, under one hard rule:
 
 **worker count must never change the answer.**  A sharded run with
-``n_workers=4`` must produce removal orders bit-identical to the serial
-loop (``n_workers=0``), which in turn is pinned to the golden reference
-path.  Three design decisions make that hold by construction:
+``n_workers=4`` must produce removal orders bit-identical to serial
+execution (``n_workers=0``).  Three design decisions make that hold by construction:
 
 - *Plan-fingerprint dedup, not speculative reuse*: each distinct plan is
   executed once per iteration (:class:`~repro.relational.executor.ExecutionCache`)
@@ -40,7 +39,7 @@ pickling, no nondeterministic reduce.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,6 @@ from ..relational.executor import ExecutionCache, Executor, QueryResult
 
 # Back-compat aliases; the registry in repro.analysis.knobs is canonical.
 WORKERS_ENV_VAR = knobs.N_WORKERS.env_var
-ASYNC_ENV_VAR = knobs.ASYNC_PIPELINE.env_var
 
 
 def resolve_workers(n_workers: int | None) -> int:
@@ -77,81 +75,6 @@ def resolve_workers(n_workers: int | None) -> int:
     if n_workers < 0:
         raise DebuggingError(f"n_workers must be >= 0, got {n_workers}")
     return n_workers
-
-
-def resolve_async(async_pipeline: bool | None) -> bool:
-    """Normalize the ``async_pipeline`` knob.
-
-    ``None`` defers to the ``REPRO_ASYNC`` environment variable (``"1"``
-    enables the pipelined loop, ``"0"`` — the default — keeps the serial
-    loop; read through the :mod:`repro.analysis.knobs` registry); an
-    explicit boolean wins over the environment.
-    """
-    if async_pipeline is None:
-        raw = knobs.read("async_pipeline")
-        if raw not in knobs.ASYNC_PIPELINE.choices:
-            raise DebuggingError(
-                f"{ASYNC_ENV_VAR}={raw!r} must be '0' or '1'"
-            )
-        return raw == "1"
-    return bool(async_pipeline)
-
-
-class PipelineState:
-    """Cross-iteration plumbing for the async train-rank-fix pipeline.
-
-    One dedicated stage thread runs the train and execute stages in strict
-    FIFO order — ``train(k) → execute(k) → train(k+1) → …`` — while the
-    driver thread ranks, selects, and drains iteration ``k``'s deferred
-    diagnostics.  FIFO on a single thread is the determinism backbone: it
-    guarantees ``execute(k)`` reads the iteration-``k`` parameters before
-    ``train(k+1)`` mutates them, without any locking on the model.
-
-    The state also carries the params-keyed caches handed across
-    iterations (the driver's per-sample gradient cache and CG warm-start
-    state) so the pipelined loop shares exactly the accelerators the
-    serial loop uses — warm starts change wall-clock, never values.
-
-    Stage exceptions surface on the driver at the matching ``join_*`` call
-    (``Future.result`` re-raises); ``shutdown`` drains the stage thread and
-    is safe to call from a ``finally`` block after a failure.
-    """
-
-    def __init__(self, grad_cache=None, warm_start=None) -> None:
-        self._stage_thread = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="rain-pipeline"
-        )
-        self.grad_cache = grad_cache
-        self.warm_start = warm_start
-        self.train_future: Future | None = None
-        self.execute_future: Future | None = None
-
-    def submit_train(self, fn: Callable, *args) -> Future:
-        self.train_future = self._stage_thread.submit(fn, *args)
-        return self.train_future
-
-    def submit_execute(self, fn: Callable, *args) -> Future:
-        self.execute_future = self._stage_thread.submit(fn, *args)
-        return self.execute_future
-
-    def join_train(self):
-        """Block until the in-flight train stage finishes (re-raising)."""
-        future, self.train_future = self.train_future, None
-        return None if future is None else future.result()
-
-    def join_execute(self):
-        """Block until the in-flight execute stage finishes (re-raising)."""
-        future, self.execute_future = self.execute_future, None
-        return None if future is None else future.result()
-
-    def shutdown(self) -> None:
-        self._stage_thread.shutdown(wait=True)
-
-    def __enter__(self) -> "PipelineState":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
 
 
 def spawn_generators(seed: int, n_shards: int) -> list[np.random.Generator]:

@@ -122,16 +122,12 @@ def run(
     max_removals: int = 20,
     k_per_iteration: int = 10,
     seed: int = 0,
-    async_pipeline: bool | None = None,
 ) -> ExperimentResult:
     """Serial vs sharded serving on the multi-case fig8 workload.
 
     One row per worker count: wall-clock seconds, speedup over the serial
     loop, whether the removal order matched the serial golden order, and
-    the execute stage's plan-dedup hit rate.  ``async_pipeline`` layers
-    the pipelined loop on top of every non-serial row (the ``n_workers=0``
-    baseline row stays fully serial so the golden order is the tree
-    reference).
+    the execute stage's plan-dedup hit rate.
     """
     setting = build_serving_setting(
         flip_fraction, n_train=n_train, n_query=n_query, seed=seed
@@ -155,7 +151,6 @@ def run(
             seed=seed,
             reset_params=initial_params,
             n_workers=n_workers,
-            async_pipeline=False if n_workers == 0 else async_pipeline,
         )
         seconds[n_workers] = time.perf_counter() - start
 

@@ -95,11 +95,9 @@ class Stopwatch:
     Used by the experiment harness to reproduce the paper's
     Train/Encode/Rank per-iteration runtime breakdown (Figures 5 and 12).
 
-    Thread-safe: the async Rain pipeline charges ``train``/``execute`` from
-    its stage thread while the driver charges ``encode``/``rank`` and
-    snapshots ``as_dict`` concurrently, so accumulation and snapshots take
-    a lock.  A label may only be *started* by one thread at a time (labels
-    partition cleanly across threads in the pipeline).
+    Thread-safe: accumulation and ``as_dict`` snapshots take a lock, so
+    several threads may charge one stopwatch.  A label may only be
+    *started* by one thread at a time.
     """
 
     def __init__(self) -> None:

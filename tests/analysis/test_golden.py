@@ -147,4 +147,3 @@ class TestShippedManifest:
         labels = {entry.label for entry in load_manifest(DEFAULT_MANIFEST)}
         assert "repro.ilp.encode:TiresiasEncoder" in labels
         assert "repro.ilp.solver:_lp_relaxation" in labels
-        assert "repro.core.rain:RainDebugger._run_serial" in labels

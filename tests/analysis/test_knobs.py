@@ -8,7 +8,7 @@ from repro.analysis import knobs
 class TestRegistry:
     def test_registered_knobs(self):
         names = {knob.name for knob in knobs.all_knobs()}
-        assert {"n_workers", "async_pipeline", "ilp_encoder"} <= names
+        assert {"n_workers", "ilp_encoder"} <= names
 
     def test_all_knobs_is_sorted(self):
         names = [knob.name for knob in knobs.all_knobs()]
@@ -16,7 +16,6 @@ class TestRegistry:
 
     def test_lookup_by_env_var(self):
         assert knobs.by_env("REPRO_N_WORKERS").name == "n_workers"
-        assert knobs.by_env("REPRO_ASYNC").name == "async_pipeline"
         assert knobs.by_env("REPRO_ILP_ENCODER").name == "ilp_encoder"
 
     def test_duplicate_registration_rejected(self):
@@ -45,7 +44,7 @@ class TestRegistry:
 
 
 class TestMigratedResolvers:
-    """resolve_workers / resolve_async / resolve_ilp_encoder keep their
+    """resolve_workers / resolve_ilp_encoder keep their
     pre-registry semantics, now reading through knobs.read()."""
 
     def test_resolve_workers_env(self, monkeypatch):
@@ -65,23 +64,6 @@ class TestMigratedResolvers:
         with pytest.raises(DebuggingError):
             resolve_workers(None)
 
-    def test_resolve_async_env(self, monkeypatch):
-        from repro.core.sharding import resolve_async
-
-        monkeypatch.setenv("REPRO_ASYNC", "1")
-        assert resolve_async(None) is True
-        assert resolve_async(False) is False
-        monkeypatch.setenv("REPRO_ASYNC", "0")
-        assert resolve_async(None) is False
-
-    def test_resolve_async_invalid(self, monkeypatch):
-        from repro.errors import DebuggingError
-        from repro.core.sharding import resolve_async
-
-        monkeypatch.setenv("REPRO_ASYNC", "yes")
-        with pytest.raises(DebuggingError):
-            resolve_async(None)
-
     def test_resolve_ilp_encoder_env(self, monkeypatch):
         from repro.ilp.encode import resolve_ilp_encoder
 
@@ -95,11 +77,10 @@ class TestMigratedResolvers:
     def test_env_var_aliases_preserved(self):
         # Pre-registry module constants stay importable (used by tests
         # and external scripts).
-        from repro.core.sharding import ASYNC_ENV_VAR, WORKERS_ENV_VAR
+        from repro.core.sharding import WORKERS_ENV_VAR
         from repro.ilp.encode import ENCODER_ENV_VAR
 
         assert WORKERS_ENV_VAR == "REPRO_N_WORKERS"
-        assert ASYNC_ENV_VAR == "REPRO_ASYNC"
         assert ENCODER_ENV_VAR == "REPRO_ILP_ENCODER"
 
 

@@ -136,9 +136,9 @@ class TestComplaintCase:
 class TestColumnarSatisfied:
     """``all_satisfied_columnar`` agrees with the tree reference.
 
-    The async pipeline's drain stage evaluates complaint satisfaction
-    with one vectorized compiled forward per result instead of the tree
-    walk; every complaint shape must produce the same flag.
+    The Rain loop evaluates complaint satisfaction with one vectorized
+    compiled forward per result instead of the tree walk; every
+    complaint shape must produce the same flag.
     """
 
     def _agree(self, case_results) -> bool:

@@ -8,24 +8,22 @@ import pytest
 from repro.ml import LogisticRegression, SoftmaxRegression
 from repro.relational import Database, Relation
 
-# Execution variants the determinism harness pins against the serial loop:
-# (label, n_workers, async_pipeline).  Serial (0, False) is the golden
-# reference and always runs first.
+# Execution variants the determinism harness pins against serial
+# execution: (label, n_workers).  Serial (n_workers=0) is the golden run
+# and always runs first.
 DETERMINISM_VARIANTS = (
-    ("sharded@2w", 2, False),
-    ("async@0w", 0, True),
-    ("async@2w", 2, True),
-    ("async@4w", 4, True),
+    ("sharded@2w", 2),
+    ("sharded@4w", 4),
 )
 
 
 class DeterminismHarness:
     """Run one Rain workload across execution variants, pin bit-equality.
 
-    The contract under test: neither the worker count nor the async
-    pipeline may change *anything* observable — the removal order, the
-    per-iteration removal sets, the complaint-satisfied flags, the stop
-    reason, or the final fitted parameters.  The harness snapshots the
+    The contract under test: the worker count may not change *anything*
+    observable — the removal order, the per-iteration removal sets, the
+    complaint-satisfied flags, the stop reason, or the final fitted
+    parameters.  The harness snapshots the
     model's parameters at construction and restores them before every
     run, so the variants are exact replays of one initial state.
     """
@@ -59,7 +57,7 @@ class DeterminismHarness:
         self.debugger_kwargs = dict(debugger_kwargs)
         self._initial_params = database.model(model_name).get_params()
 
-    def run(self, n_workers=0, async_pipeline=False):
+    def run(self, n_workers=0):
         """One replay; returns (report, final fitted parameters)."""
         from repro.core import RainDebugger
 
@@ -75,7 +73,6 @@ class DeterminismHarness:
             rng=self.rng,
             ranker_kwargs=self.ranker_kwargs,
             n_workers=n_workers,
-            async_pipeline=async_pipeline,
             **self.debugger_kwargs,
         )
         report = debugger.run(
@@ -86,9 +83,9 @@ class DeterminismHarness:
 
     def check(self, variants=None):
         """Assert every variant replays the serial run; returns the golden."""
-        golden, golden_params = self.run(0, False)
-        for label, n_workers, async_pipeline in variants or self.variants:
-            report, params = self.run(n_workers, async_pipeline)
+        golden, golden_params = self.run(0)
+        for label, n_workers in variants or self.variants:
+            report, params = self.run(n_workers)
             assert report.removal_order == golden.removal_order, label
             assert [record.removed for record in report.iterations] == [
                 record.removed for record in golden.iterations

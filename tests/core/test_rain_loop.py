@@ -156,6 +156,32 @@ class TestLoop:
         assert report.stopped_reason == "complaints_satisfied"
         assert report.removal_order == []
 
+    @pytest.mark.parametrize("stop", ["no_signal", "complaints_satisfied"])
+    def test_terminal_iteration_timings_sum_to_report(self, debug_setting, stop):
+        db, model, X, y, corrupted, case = debug_setting
+        if stop == "no_signal":
+            # Identical rows + identical labels: every loss ties.
+            debugger = RainDebugger(
+                db, "m", np.zeros_like(X), np.ones_like(y), [case],
+                method="loss", rng=0,
+            )
+        else:
+            # COUNT(*) over 60 rows never exceeds 60: satisfied at once.
+            vacuous = ComplaintCase(
+                case.query,
+                [ValueComplaint(column="count", op="<=", value=60, row_index=0)],
+            )
+            debugger = RainDebugger(
+                db, "m", X, y, [vacuous], method="holistic",
+                stop_when_satisfied=True, rng=0,
+            )
+        report = debugger.run(max_removals=20)
+        assert report.stopped_reason == stop
+        assert report.iterations[-1].timings
+        for label, total in report.timings.items():
+            summed = sum(record.timings.get(label, 0.0) for record in report.iterations)
+            assert summed == pytest.approx(total), label
+
     def test_twostep_runs(self, debug_setting):
         db, model, X, y, corrupted, case = debug_setting
         debugger = RainDebugger(

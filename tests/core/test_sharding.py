@@ -1,15 +1,19 @@
 """The sharded serving layer's determinism contract.
 
 The hard rule under test: **worker count never changes the answer.**
-Sharded runs (2 and 4 workers) must produce removal orders bit-identical
-to the serial loop on the fig8 multiquery workload, the per-iteration
-plan cache must execute each distinct plan exactly once, and the shard
-bookkeeping helpers must be worker-invariant pure functions.
+Sharded runs (2 and 4 workers) must replay serial execution bit-for-bit
+— removal order, per-iteration removal sets, satisfied flags, stop
+reason, final fitted parameters — which the shared ``DeterminismHarness``
+fixture pins over methods × datasets and through the loop's early exits
+(``stop_when_satisfied``, ``no_signal``).  The per-iteration plan cache
+must execute each distinct plan exactly once, and the shard bookkeeping
+helpers must be worker-invariant pure functions.
 """
 
 import numpy as np
 import pytest
 
+from repro.complaints import ComplaintCase, ValueComplaint
 from repro.core import RainDebugger, WarmStartState
 from repro.core.sharding import (
     execute_cases,
@@ -19,6 +23,7 @@ from repro.core.sharding import (
     spawn_generators,
 )
 from repro.errors import DebuggingError
+from repro.experiments.common import build_dblp_setting
 from repro.experiments.fig8_multiquery import build_adult_setting
 from repro.experiments.serving import build_serving_setting
 from repro.relational import Executor, plan_sql
@@ -53,6 +58,13 @@ def seed_streams():
 def adult_setting(seed_streams):
     return build_adult_setting(
         0.5, n_train=200, n_query=300, seed=seed_streams["setting"]
+    )
+
+
+@pytest.fixture(scope="module")
+def dblp_setting(seed_streams):
+    return build_dblp_setting(
+        0.5, n_train=150, n_query=150, seed=seed_streams["setting"]
     )
 
 
@@ -140,6 +152,116 @@ class TestShardedEqualsSerial:
         assert cache["n_distinct_plans"] == 2
         assert cache["cache_misses"] == 2
         assert cache["cache_hits"] == len(setting.cases)
+
+
+def harness_for(determinism_harness, setting, dataset, method, rk, **kwargs):
+    if dataset == "adult":
+        return determinism_harness(
+            setting.database,
+            "income",
+            setting.X_train,
+            setting.y_corrupted,
+            [setting.gender_case, setting.age_case],
+            method=method,
+            ranker_kwargs=rk,
+            **kwargs,
+        )
+    return determinism_harness(
+        setting.database,
+        setting.model_name,
+        setting.X_train,
+        setting.y_corrupted,
+        [setting.case],
+        method=method,
+        ranker_kwargs=rk,
+        **kwargs,
+    )
+
+
+METHODS = [
+    pytest.param("holistic", {}, id="holistic"),
+    pytest.param(
+        "holistic",
+        {"per_query_solves": True, "solve_shard_size": 1},
+        id="holistic-per-query",
+    ),
+    pytest.param(
+        "twostep", {"ambiguity_cap": 3, "time_limit": 10.0}, id="twostep"
+    ),
+    pytest.param("loss", {}, id="loss"),
+    pytest.param("infloss", {}, id="infloss"),
+]
+
+
+class TestDeterminismHarness:
+    """Sharded runs at 2/4 workers replay serial execution bit-for-bit."""
+
+    @pytest.mark.parametrize("dataset", ["adult", "dblp"])
+    @pytest.mark.parametrize("method,rk", METHODS)
+    def test_bit_identical_reports(
+        self, determinism_harness, request, dataset, method, rk
+    ):
+        setting = request.getfixturevalue(f"{dataset}_setting")
+        harness = harness_for(determinism_harness, setting, dataset, method, rk)
+        golden = harness.check()
+        assert golden.removal_order  # non-degenerate workload
+
+    def test_stop_when_satisfied_short_circuits(
+        self, determinism_harness, seed_streams
+    ):
+        setting = build_dblp_setting(
+            0.5, n_train=80, n_query=100, seed=seed_streams["setting"]
+        )
+        # COUNT(*) over n_query rows can never exceed n_query: satisfied
+        # from iteration one, so every variant must stop without removing.
+        vacuous = ComplaintCase(
+            setting.query,
+            [
+                ValueComplaint(
+                    column="count",
+                    op="<=",
+                    value=setting.X_query.shape[0],
+                    row_index=0,
+                )
+            ],
+        )
+        harness = determinism_harness(
+            setting.database, setting.model_name, setting.X_train,
+            setting.y_corrupted, [vacuous], method="holistic",
+            stop_when_satisfied=True,
+        )
+        golden = harness.check()
+        assert golden.stopped_reason == "complaints_satisfied"
+        assert golden.removal_order == []
+        assert golden.iterations[-1].complaints_satisfied
+
+    def test_stop_when_satisfied_still_replays_while_unsatisfied(
+        self, determinism_harness, dblp_setting
+    ):
+        harness = harness_for(
+            determinism_harness, dblp_setting, "dblp", "holistic", {},
+            stop_when_satisfied=True,
+        )
+        golden = harness.check()
+        assert golden.removal_order
+
+    def test_no_signal_stops_every_variant(self, determinism_harness, seed_streams):
+        setting = build_dblp_setting(
+            0.5, n_train=40, n_query=60, seed=seed_streams["setting"]
+        )
+        # Identical rows + identical labels: every per-sample loss ties,
+        # so the ranker has no signal and no variant may remove
+        # arbitrary records.
+        X_flat = np.zeros_like(setting.X_train)
+        y_const = setting.y_corrupted.copy()
+        y_const[:] = "match"
+        harness = determinism_harness(
+            setting.database, setting.model_name, X_flat, y_const,
+            [setting.case], method="loss", max_removals=10,
+        )
+        golden = harness.check()
+        assert golden.stopped_reason == "no_signal"
+        assert golden.removal_order == []
 
 
 class TestExecutionCache:

@@ -5,8 +5,8 @@ fig8 (Adult multi-query) paths, pinning the actual recall curves — not
 just the qualitative shape — so a numerics regression anywhere in the
 train-rank-fix stack (executor, relaxation, influence solves, ranking)
 shows up as a curve shift here before the slow benchmarks run.  The runs
-are fully seeded and the engine is deterministic (see the sharding and
-async determinism contracts), so the pins hold exactly; tolerances are
+are fully seeded and the engine is deterministic (see the sharding
+determinism contract), so the pins hold exactly; tolerances are
 only for cross-platform float noise.
 """
 
@@ -83,25 +83,3 @@ class TestAdultScenario:
         # The fig8 claim: aggregate complaints carry signal plain loss
         # ranking cannot see — loss finds nothing at this scale.
         assert summaries["loss"]["auccr"] == pytest.approx(0.0, abs=PIN_ATOL)
-
-    def test_async_pipeline_reproduces_pinned_curve(self):
-        """The async loop reproduces the pinned serial curves exactly."""
-        setting = build_adult_setting(0.5, n_train=200, n_query=300, seed=0)
-        serial = compare_methods(
-            setting.database, "income", setting.X_train, setting.y_corrupted,
-            [setting.gender_case, setting.age_case],
-            setting.corrupted_indices,
-            methods=("holistic",), seed=0, max_removals=30,
-        )
-        piped = compare_methods(
-            setting.database, "income", setting.X_train, setting.y_corrupted,
-            [setting.gender_case, setting.age_case],
-            setting.corrupted_indices,
-            methods=("holistic",), seed=0, max_removals=30,
-            n_workers=2, async_pipeline=True,
-        )
-        np.testing.assert_array_equal(
-            piped["holistic"]["recall_curve"],
-            serial["holistic"]["recall_curve"],
-        )
-        assert piped["holistic"]["auccr"] == serial["holistic"]["auccr"]
