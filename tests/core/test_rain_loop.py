@@ -232,3 +232,99 @@ class TestLoop:
             db, "m", X, y, [case, case], method="holistic", rng=0
         ).run(max_removals=10, k_per_iteration=5)
         assert len(report.removal_order) == 10
+
+    @pytest.mark.parametrize("n_workers", [0, 2])
+    def test_timing_totals_cover_every_stage(self, debug_setting, n_workers):
+        db, model, X, y, corrupted, case = debug_setting
+        report = RainDebugger(
+            db, "m", X, y, [case], method="holistic", rng=0,
+            n_workers=n_workers,
+        ).run(max_removals=10, k_per_iteration=5)
+        for label in ("train", "execute", "rank"):
+            assert report.timings.get(label, 0.0) > 0.0, label
+
+
+def _second_query_case(db):
+    """A case over a different plan than ``debug_setting``'s query."""
+    sql = "SELECT COUNT(*) FROM Q WHERE predict(*) = 0"
+    n_query = len(db.relation("Q"))
+    return ComplaintCase(
+        sql,
+        [ValueComplaint(column="count", op="<=", value=n_query, row_index=0)],
+    )
+
+
+class TestLoopFailures:
+    @pytest.mark.parametrize("n_workers", [0, 2])
+    def test_executor_failure_propagates(
+        self, debug_setting, monkeypatch, n_workers
+    ):
+        db, model, X, y, corrupted, case = debug_setting
+        debugger = RainDebugger(
+            db, "m", X, y, [case, _second_query_case(db)],
+            method="holistic", rng=0, n_workers=n_workers,
+        )
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("executor down")
+
+        monkeypatch.setattr(debugger.executor, "execute", boom)
+        with pytest.raises(RuntimeError, match="executor down"):
+            debugger.run(max_removals=10)
+
+
+def _drain_against_oracle(monkeypatch):
+    """Wrap the loop's columnar drain; record (columnar, tree oracle) flags."""
+    from repro.complaints.complaint import all_satisfied
+    from repro.core import rain
+
+    pairs = []
+    columnar = rain.all_satisfied_columnar
+
+    def checked(case_results):
+        flag = columnar(case_results)
+        pairs.append((flag, all_satisfied(case_results)))
+        return flag
+
+    monkeypatch.setattr(rain, "all_satisfied_columnar", checked)
+    return pairs
+
+
+class TestColumnarDrain:
+    """The loop's columnar satisfied flag equals the tree-walking oracle."""
+
+    @pytest.mark.parametrize(
+        "shape,method,provenance,expected",
+        [
+            ("value", "holistic", "compiled", False),
+            ("vacuous", "loss", "compiled", True),
+            ("prediction", "loss", "compiled", None),
+            ("mixed", "loss", "compiled", None),
+            ("value", "holistic", "tree", False),
+        ],
+        ids=["value", "vacuous", "prediction", "mixed", "tree"],
+    )
+    def test_flags_match_tree_oracle(
+        self, debug_setting, monkeypatch, shape, method, provenance, expected
+    ):
+        db, model, X, y, corrupted, case = debug_setting
+        prediction = ComplaintCase(case.query, [PredictionComplaint("Q", 0, 1)])
+        cases = {
+            "value": [case],
+            "vacuous": [_second_query_case(db)],
+            "prediction": [prediction],
+            "mixed": [case, _second_query_case(db), prediction],
+        }[shape]
+        pairs = _drain_against_oracle(monkeypatch)
+        report = RainDebugger(
+            db, "m", X, y, cases, method=method, rng=0, provenance=provenance,
+        ).run(max_removals=15, k_per_iteration=5)
+        assert len(pairs) == len(report.iterations) >= 1
+        assert [columnar for columnar, _ in pairs] == [
+            oracle for _, oracle in pairs
+        ]
+        assert [record.complaints_satisfied for record in report.iterations] == [
+            oracle for _, oracle in pairs
+        ]
+        if expected is not None:
+            assert all(oracle is expected for _, oracle in pairs)

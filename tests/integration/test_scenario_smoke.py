@@ -83,3 +83,23 @@ class TestAdultScenario:
         # The fig8 claim: aggregate complaints carry signal plain loss
         # ranking cannot see — loss finds nothing at this scale.
         assert summaries["loss"]["auccr"] == pytest.approx(0.0, abs=PIN_ATOL)
+
+    def test_sharded_run_reproduces_pinned_curve(self):
+        """Explicit serial and 2-worker runs give the same curve exactly."""
+        setting = build_adult_setting(0.5, n_train=200, n_query=300, seed=0)
+        runs = {
+            n_workers: compare_methods(
+                setting.database, "income", setting.X_train,
+                setting.y_corrupted,
+                [setting.gender_case, setting.age_case],
+                setting.corrupted_indices,
+                methods=("holistic",), seed=0, max_removals=30,
+                n_workers=n_workers,
+            )["holistic"]
+            for n_workers in (0, 2)
+        }
+        assert runs[0]["auccr"] == pytest.approx(0.525641, abs=PIN_ATOL)
+        np.testing.assert_array_equal(
+            runs[2]["recall_curve"], runs[0]["recall_curve"]
+        )
+        assert runs[2]["auccr"] == runs[0]["auccr"]
