@@ -4,9 +4,11 @@ Acceptance bar for the compiled provenance engine (fig5's encode side, the
 DBLP n=400 / n_query=300 configuration): for both TwoStep and Holistic,
 
 - the compiled path (columnar executor emitting node arrays, batched
-  relaxation objective, persistent HiGHS LP backend) must produce removal
+  relaxation objective, persistent HiGHS LP solves) must produce removal
   orders **identical** to the interpreted reference path (tree provenance,
-  per-row runtime caches, per-call scipy ``linprog``), and
+  per-row runtime caches, and TwoStep's optimum enumeration swapped for
+  the per-call scipy ``linprog`` oracle, ``enumerate_optima_reference``),
+  and
 - the combined TwoStep + Holistic Encode (+ query execution, folded into
   Encode as in fig5) seconds per iteration must improve by at least 3x,
   with Holistic individually at least 3x and TwoStep at least 2.5x.
@@ -20,40 +22,40 @@ Fast tier: three train-rank-fix iterations per configuration.
 
 from conftest import save_and_print
 
+from repro.core import rankers
 from repro.experiments.common import ExperimentResult, build_dblp_setting, run_method
+from repro.ilp.solver import enumerate_optima, enumerate_optima_reference
 
 CONFIGS = {
-    "reference": {"provenance": "tree", "lp_backend": "linprog"},
-    "compiled": {"provenance": "compiled", "lp_backend": "highs"},
+    "reference": {"provenance": "tree", "enumerate": enumerate_optima_reference},
+    "compiled": {"provenance": "compiled", "enumerate": enumerate_optima},
 }
 
 
-def _run(setting, initial_params, method, config):
-    ranker_kwargs = (
-        {"lp_backend": config["lp_backend"]} if method == "twostep" else None
-    )
+def _run(setting, initial_params, method, config, monkeypatch):
     setting.model.set_params(initial_params)
-    report = run_method(
-        setting.database,
-        setting.model_name,
-        setting.X_train,
-        setting.y_corrupted,
-        [setting.case],
-        method,
-        max_removals=30,
-        k_per_iteration=10,
-        seed=0,
-        reset_params=initial_params,
-        provenance=config["provenance"],
-        ranker_kwargs=ranker_kwargs,
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(rankers, "enumerate_optima", config["enumerate"])
+        report = run_method(
+            setting.database,
+            setting.model_name,
+            setting.X_train,
+            setting.y_corrupted,
+            [setting.case],
+            method,
+            max_removals=30,
+            k_per_iteration=10,
+            seed=0,
+            reset_params=initial_params,
+            provenance=config["provenance"],
+        )
     iterations = max(1, len([r for r in report.iterations if r.removed]))
     timings = report.timings
     encode = (timings.get("encode", 0.0) + timings.get("execute", 0.0)) / iterations
     return report, encode
 
 
-def test_bench_compiled_provenance(benchmark, out_dir):
+def test_bench_compiled_provenance(benchmark, out_dir, monkeypatch):
     setting = build_dblp_setting(0.5, n_train=400, n_query=300, seed=0)
     initial_params = setting.model.get_params()
 
@@ -69,7 +71,9 @@ def test_bench_compiled_provenance(benchmark, out_dir):
             encodes = {name: float("inf") for name in CONFIGS}
             for _ in range(3):
                 for name, config in CONFIGS.items():
-                    report, run_encode = _run(setting, initial_params, method, config)
+                    report, run_encode = _run(
+                        setting, initial_params, method, config, monkeypatch
+                    )
                     encodes[name] = min(encodes[name], run_encode)
                     orders_by_method.setdefault(method, {})[name] = (
                         report.removal_order
@@ -95,7 +99,8 @@ def test_bench_compiled_provenance(benchmark, out_dir):
                 }
             )
         result.notes.append(
-            "reference = tree provenance + per-row caches + per-call linprog; "
+            "reference = tree provenance + per-row caches + per-call linprog "
+            "enumeration oracle; "
             "compiled = node-array provenance + columnar executor + "
             "persistent HiGHS (cold solves, vertex-identical to linprog)."
         )

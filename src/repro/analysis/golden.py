@@ -2,8 +2,8 @@
 
 The repo's parallel-correctness contract is anchored on a handful of
 *golden reference* implementations — the tree-walking ILP encoder, the
-``linprog`` LP backend, the per-record gradient reference, the
-interpreted objective, the serial Rain loop.  Every fast path is pinned
+``linprog`` LP relaxation oracle, the per-record gradient reference, the
+interpreted objective.  Every fast path is pinned
 bit-identical to one of them, so silently editing a golden body voids
 every equivalence guarantee downstream.
 

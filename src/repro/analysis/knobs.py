@@ -27,8 +27,8 @@ class Knob:
     ``name`` is the registry key (and the keyword-argument spelling used
     by the python API), ``env_var`` the environment variable, ``default``
     the raw string used when the variable is unset, ``doc`` a one-line
-    description, ``owner`` the module whose resolver consumes the value,
-    and ``choices`` an optional closed set of accepted raw values.
+    description, and ``owner`` the module whose resolver consumes the
+    value.
     """
 
     name: str
@@ -36,7 +36,6 @@ class Knob:
     default: str
     doc: str
     owner: str
-    choices: tuple[str, ...] | None = None
 
 
 _REGISTRY: dict[str, Knob] = {}
@@ -49,14 +48,13 @@ def register(
     default: str,
     doc: str,
     owner: str,
-    choices: tuple[str, ...] | None = None,
 ) -> Knob:
     """Declare a knob.  Duplicate names or env vars are a programming error."""
     if name in _REGISTRY:
         raise ValueError(f"knob {name!r} is already registered")
     if env_var in _BY_ENV:
         raise ValueError(f"env var {env_var!r} is already registered")
-    knob = Knob(name, env_var, default, doc, owner, choices)
+    knob = Knob(name, env_var, default, doc, owner)
     _REGISTRY[name] = knob
     _BY_ENV[env_var] = knob
     return knob
@@ -98,12 +96,9 @@ def knob_table() -> str:
         "|---|---|---|---|---|",
     ]
     for knob in all_knobs():
-        choices = (
-            f" (one of {', '.join(knob.choices)})" if knob.choices else ""
-        )
         rows.append(
             f"| `{knob.name}` | `{knob.env_var}` | `{knob.default or '(empty)'}` "
-            f"| `{knob.owner}` | {knob.doc}{choices} |"
+            f"| `{knob.owner}` | {knob.doc} |"
         )
     return "\n".join(rows)
 
@@ -119,14 +114,4 @@ N_WORKERS = register(
     "0",
     "Worker-pool size for sharded multi-query serving; 0 = serial loop.",
     "repro.core.sharding",
-)
-
-ILP_ENCODER = register(
-    "ilp_encoder",
-    "REPRO_ILP_ENCODER",
-    "compiled",
-    "TwoStep ILP encoder: array-lowered 'compiled' or the golden "
-    "tree-walking 'tree' reference.",
-    "repro.ilp.encode",
-    choices=("compiled", "tree"),
 )

@@ -12,7 +12,6 @@ from .rain import DebugReport, IterationRecord, RainDebugger
 from .sharding import (
     ExecuteStats,
     execute_cases,
-    fixed_shards,
     resolve_workers,
     run_sharded,
     spawn_generators,
@@ -40,7 +39,6 @@ __all__ = [
     "RelabelDebugger",
     "ExecuteStats",
     "execute_cases",
-    "fixed_shards",
     "resolve_workers",
     "run_sharded",
     "spawn_generators",

@@ -38,9 +38,9 @@ Multi-query serving: with ``n_workers >= 1`` (or ``REPRO_N_WORKERS`` set)
 the execute stage dedupes executions by plan fingerprint — each distinct
 query runs once per iteration and its compiled provenance pool is frozen
 once and shared across all cases over that plan — and shard-aware rankers
-fan per-case encode/solve work out to a thread pool
+fan per-case encode work out to a thread pool
 (:mod:`~repro.core.sharding`).  Worker count never changes removal
-orders: shard partitions are worker-invariant and the run RNG is only
+orders: per-case results merge in case order and the run RNG is only
 consumed on the driver thread in case order.  ``provenance="tree"``
 always runs serially.
 """

@@ -10,14 +10,14 @@ charge work to the context stopwatch under ``encode`` (building the
 influence objective — ILP solving for TwoStep, relaxation sweeps for
 Holistic) and ``rank`` (the CG solve + per-record gradient dot products).
 
-Batched-solve conventions: InfLoss issues ONE block CG solve for all active
+Solve conventions: InfLoss issues ONE block CG solve for all active
 records (``solver="scalar"`` keeps the paper's per-record loop as the slow
-reference); Holistic with ``per_query_solves=True`` solves every complaint
-case's objective in one block solve and sums the per-case score rows.  When
-the driver supplies a :class:`WarmStartState` (RainDebugger does by
-default), rankers seed CG with the previous iteration's solutions and write
-the new ones back — θ* barely moves after a top-k deletion, so warm solves
-typically need a fraction of the cold iteration count.
+reference); Holistic and TwoStep each sum their complaints into one
+objective ``q(θ)`` and issue one scalar solve.  When the driver supplies a
+:class:`WarmStartState` (RainDebugger does by default), rankers seed CG
+with the previous iteration's solutions and write the new ones back — θ*
+barely moves after a top-k deletion, so warm solves typically need a
+fraction of the cold iteration count.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..relaxation.objective import (
     batched_q_and_grads,
 )
 from ..utils import Stopwatch
-from .sharding import fixed_shards, run_sharded
+from .sharding import run_sharded
 
 
 @dataclass
@@ -49,12 +49,8 @@ class WarmStartState:
     (Holistic/TwoStep); ``block`` is the previous self-influence block
     solution with one column per active record, kept aligned with the active
     set by the driver (it deletes the removed records' columns each
-    iteration); ``q_block`` is the previous per-case block solution of
-    Holistic's ``per_query_solves`` path, one row per complaint case, kept
-    aligned with the case list via :meth:`drop_cases` when a case is pruned
-    mid-run.  Rankers read these as CG starting points and write the new
-    solutions back in place; the sharded serving path row-slices ``q_block``
-    per solve shard and writes the merged rows back in case order.
+    iteration).  Rankers read these as CG starting points and write the new
+    solutions back in place.
 
     Warm starts are accelerators, not state the results depend on: every
     consumer shape-checks before seeding, and any stale array degrades to a
@@ -63,7 +59,6 @@ class WarmStartState:
 
     u: np.ndarray | None = None
     block: np.ndarray | None = None
-    q_block: np.ndarray | None = None
 
     def drop_columns(self, positions: np.ndarray) -> None:
         """Forget the block columns of just-removed records.
@@ -79,28 +74,6 @@ class WarmStartState:
             return
         self.block = np.delete(self.block, positions.astype(np.int64), axis=1)
 
-    def drop_cases(self, case_positions: np.ndarray) -> None:
-        """Forget the ``q_block`` rows of pruned complaint cases.
-
-        Keeps the per-case warm block aligned when the driver removes a
-        case mid-run (e.g. one that became infeasible); remaining rows keep
-        warm-starting their cases.
-        """
-        if self.q_block is None:
-            return
-        case_positions = np.asarray(case_positions)
-        if case_positions.size == 0:
-            return
-        self.q_block = np.delete(
-            self.q_block, case_positions.astype(np.int64), axis=0
-        )
-
-    def q_block_for(self, n_cases: int, n_params: int) -> np.ndarray | None:
-        """The per-case warm block, or ``None`` unless shapes line up."""
-        if self.q_block is not None and self.q_block.shape == (n_cases, n_params):
-            return self.q_block
-        return None
-
 
 @dataclass
 class IterationContext:
@@ -109,7 +82,7 @@ class IterationContext:
     ``n_workers`` is the serving layer's worker-pool size: ``0`` keeps
     every ranker on its serial code path; ``>= 1`` lets shard-aware
     rankers fan per-case work out to threads.  Worker count never changes
-    scores — shard partitions are worker-invariant and all RNG consumption
+    scores — per-case results merge in case order and all RNG consumption
     stays on the driver thread in case order.
     """
 
@@ -190,38 +163,18 @@ class InfLossRanker(Ranker):
 class HolisticRanker(Ranker):
     """The Holistic approach (Section 5.3): influence on relaxed complaints.
 
-    With ``per_query_solves=True`` and several complaint cases, every case's
-    relaxed objective becomes one column of a single block CG solve; the
-    per-case score rows are summed (Eq. 4 is linear in ``∇q``, so this
-    matches the summed-gradient solve) and recorded in the iteration
-    diagnostics for per-query attribution.  The default sums the gradients
-    first and issues one scalar solve — the paper's formulation.
+    Every complaint case's relaxed objective is summed into one ``q(θ)``
+    and its gradient drives one scalar influence solve — the paper's
+    formulation, also for the multi-query runs of Section 6.5.
 
     Serving-layer sharding: when the context carries ``n_workers >= 1``
     the per-case relaxation sweeps fan out to the worker pool (cases
-    sharing a query result also share one probability-matrix evaluation),
-    and ``solve_shard_size=k`` splits the per-case block-CG rows into
-    fixed-size shards solved per worker, each warm-started from its slice
-    of ``q_block``.  The shard partition depends only on the case count —
-    never on ``n_workers`` — because splitting a GEMM by columns changes
-    output bits; with a worker-invariant partition every worker count
-    produces identical scores (and the serial ``n_workers=0`` loop runs
-    the very same shard solves in order).
+    sharing a query result also share one probability-matrix evaluation);
+    the gradients are summed in case order, so every worker count
+    produces identical scores.
     """
 
     name = "holistic"
-
-    def __init__(
-        self,
-        per_query_solves: bool = False,
-        solve_shard_size: int | None = None,
-    ) -> None:
-        if solve_shard_size is not None and solve_shard_size <= 0:
-            raise DebuggingError(
-                f"solve_shard_size must be positive, got {solve_shard_size}"
-            )
-        self.per_query_solves = bool(per_query_solves)
-        self.solve_shard_size = solve_shard_size
 
     def scores(self, ctx: IterationContext) -> np.ndarray:
         with ctx.watch.time("encode"):
@@ -244,57 +197,12 @@ class HolisticRanker(Ranker):
             ctx.diagnostics["q_value"] = q_total
         with ctx.watch.time("rank"):
             warm = ctx.warm_start
-            if self.per_query_solves and len(q_grads) > 1:
-                per_case = self._per_query_block(ctx, np.stack(q_grads), warm)
-                ctx.diagnostics["per_query_score_norms"] = [
-                    float(np.linalg.norm(row)) for row in per_case
-                ]
-                return per_case.sum(axis=0)
             q_grad = q_grads[0] if len(q_grads) == 1 else np.sum(q_grads, axis=0)
             scores = ctx.analyzer.scores_from_q_grad(
                 q_grad, x0=None if warm is None else warm.u
             )
             _record_scalar_cg(ctx, warm)
             return scores
-
-    def _per_query_block(
-        self,
-        ctx: IterationContext,
-        rows: np.ndarray,
-        warm: WarmStartState | None,
-    ) -> np.ndarray:
-        """The (n_cases, n_active) per-case score matrix, possibly sharded."""
-        n_cases = rows.shape[0]
-        warm_rows = (
-            None if warm is None else warm.q_block_for(n_cases, ctx.model.n_params)
-        )
-        if self.solve_shard_size is None or n_cases <= self.solve_shard_size:
-            per_case = ctx.analyzer.scores_from_q_grads(rows, X0=warm_rows)
-            if warm is not None:
-                block = ctx.analyzer.last_block_cg_result
-                if block is not None:
-                    warm.q_block = block.X.T
-            return per_case
-
-        # Fixed-size row shards (worker-invariant partition); one spawned
-        # analyzer per shard so per-shard CG diagnostics don't race.  The
-        # shared gradient cache is prewarmed on the driver thread first.
-        shards = fixed_shards(n_cases, self.solve_shard_size)
-        ctx.analyzer.per_sample_grads()
-
-        def solve_shard(shard: np.ndarray):
-            analyzer = ctx.analyzer.spawn()
-            X0 = None if warm_rows is None else warm_rows[shard]
-            scores = analyzer.scores_from_q_grads(rows[shard], X0=X0)
-            return scores, analyzer.last_block_cg_result
-
-        outputs = run_sharded(solve_shard, shards, ctx.n_workers)
-        per_case = np.vstack([scores for scores, _ in outputs])
-        blocks = [block for _, block in outputs]
-        if warm is not None and all(block is not None for block in blocks):
-            warm.q_block = np.vstack([block.X.T for block in blocks])
-        ctx.diagnostics["solve_shards"] = len(shards)
-        return per_case
 
 
 def _record_scalar_cg(ctx: IterationContext, warm: WarmStartState | None) -> None:
@@ -315,6 +223,8 @@ class TwoStepRanker(Ranker):
     the enumerated count is reported as the iteration's ambiguity and the
     "opaque solver pick" is a seeded uniform draw among them (Theorem A.1's
     model).  Set ``ambiguity_cap=1`` to take the solver's first optimum.
+    ``node_limit`` and ``time_limit`` (``None`` = no wall clock) budget
+    each branch & bound solve.
     """
 
     name = "twostep"
@@ -325,17 +235,19 @@ class TwoStepRanker(Ranker):
         node_limit: int = 20000,
         time_limit: float | None = 60.0,
         on_failure: str = "zeros",
-        lp_backend: str | None = None,
-        ilp_encoder: str | None = None,
     ) -> None:
         if on_failure not in ("zeros", "raise"):
             raise DebuggingError("on_failure must be 'zeros' or 'raise'")
+        if ambiguity_cap < 1:
+            raise DebuggingError(f"ambiguity_cap must be >= 1, got {ambiguity_cap}")
+        if node_limit < 1:
+            raise DebuggingError(f"node_limit must be >= 1, got {node_limit}")
+        if time_limit is not None and time_limit <= 0:
+            raise DebuggingError(f"time_limit must be positive, got {time_limit}")
         self.ambiguity_cap = ambiguity_cap
         self.node_limit = node_limit
         self.time_limit = time_limit
         self.on_failure = on_failure
-        self.lp_backend = lp_backend
-        self.ilp_encoder = ilp_encoder
 
     def scores(self, ctx: IterationContext) -> np.ndarray:
         with ctx.watch.time("encode"):
@@ -412,14 +324,13 @@ class TwoStepRanker(Ranker):
         direct_sites = {complaint.site_id(result) for complaint in direct}
         if not indirect:
             return direct_marks, direct_sites, None, None
-        encoder = make_encoder(result, self.ilp_encoder)
+        encoder = make_encoder(result)
         encoder.add_complaints(case.complaints)  # point complaints pin sites
         solutions = enumerate_optima(
             encoder.program,
             max_solutions=self.ambiguity_cap,
             node_limit=self.node_limit,
             time_limit=self.time_limit,
-            lp_backend=self.lp_backend,
         )
         return direct_marks, direct_sites, encoder, solutions
 

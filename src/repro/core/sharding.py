@@ -2,11 +2,10 @@
 
 The train-rank-fix loop serves every complaint case through three
 per-iteration stages — query re-execution, provenance/objective
-encoding, and the influence solves — and all three are embarrassingly
-parallel across cases (the per-case rows of Holistic's
-``per_query_solves`` block are independent columns of one CG solve).
-This module supplies the worker pool and the shard bookkeeping the
-driver and rankers use to exploit that, under one hard rule:
+encoding, and the influence solve — and the first two are
+embarrassingly parallel across cases.  This module supplies the worker
+pool and the execute-stage bookkeeping the driver and rankers use to
+exploit that, under one hard rule:
 
 **worker count must never change the answer.**  A sharded run with
 ``n_workers=4`` must produce removal orders bit-identical to serial
@@ -17,14 +16,13 @@ execution (``n_workers=0``).  Three design decisions make that hold by construct
   and the result shared across its cases.  A compiled debug result is a
   pure function of (plan, data, model parameters), so sharing it is
   invisible to every consumer.
-- *Worker-invariant shard partitions*: anything that is solved per shard
-  (the fixed-size slices of Holistic's block-CG rows) is partitioned by a
-  deterministic function of the case count only — never of ``n_workers``.
-  Workers just pick up shards; the math per shard is identical at any
-  worker count.  This is forced by floating point: splitting a GEMM by
-  columns changes reduction shapes and therefore output bits, so a
-  partition derived from ``n_workers`` would make removal orders depend
-  on the worker count through ulp-level score differences.
+- *Per-item work, ordered merge*: the pool only ever maps a function
+  over cases or distinct plans and merges the results in item order —
+  nothing is partitioned by ``n_workers``.  This is forced by floating
+  point: splitting a reduction by worker changes its shapes and
+  therefore output bits, so a partition derived from ``n_workers`` would
+  make removal orders depend on the worker count through ulp-level
+  score differences.
 - *Driver-side randomness*: no worker ever consumes the run RNG.
   Stochastic steps (TwoStep's optimum pick) stay on the driver in case
   order; data-side sampling shards its own seeds via
@@ -88,21 +86,6 @@ def spawn_generators(seed: int, n_shards: int) -> list[np.random.Generator]:
         raise DebuggingError(f"n_shards must be positive, got {n_shards}")
     children = np.random.SeedSequence(seed).spawn(n_shards)
     return [np.random.default_rng(child) for child in children]
-
-
-def fixed_shards(n_items: int, shard_size: int) -> list[np.ndarray]:
-    """Contiguous index shards of at most ``shard_size`` items.
-
-    The partition depends only on ``n_items`` and ``shard_size`` — the
-    worker-invariance rule above — so per-shard solves give the same bits
-    at every worker count.
-    """
-    if shard_size <= 0:
-        raise DebuggingError(f"shard_size must be positive, got {shard_size}")
-    return [
-        np.arange(start, min(start + shard_size, n_items), dtype=np.int64)
-        for start in range(0, n_items, shard_size)
-    ]
 
 
 def run_sharded(

@@ -339,8 +339,8 @@ def run(
     result.notes.append(
         "selection is the complaint-sparse regime: a handful of tuple "
         "complaints touch a sliver of the pool, so the compiled encoder's "
-        "one-time pool canonicalization dominates — the tree walk stays "
-        "available via REPRO_ILP_ENCODER=tree.  AGGREGATE_TOTAL sums the "
+        "one-time pool canonicalization dominates; TwoStep still picks the "
+        "encoder by provenance only.  AGGREGATE_TOTAL sums the "
         "count/grouped rows, where every candidate feeds the complaint."
     )
     return result

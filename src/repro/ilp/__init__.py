@@ -1,21 +1,13 @@
 """0-1 ILP substrate: model, branch & bound solver, Tiresias encoders."""
 
-from .encode import (
-    ENCODER_ENV_VAR,
-    CompiledILPEncoder,
-    TiresiasEncoder,
-    make_encoder,
-    resolve_ilp_encoder,
-)
+from .encode import CompiledILPEncoder, TiresiasEncoder, make_encoder
 from .model import BinaryProgram, Constraint
 from .solver import ILPSolution, enumerate_optima, pick_solution, solve
 
 __all__ = [
-    "ENCODER_ENV_VAR",
     "CompiledILPEncoder",
     "TiresiasEncoder",
     "make_encoder",
-    "resolve_ilp_encoder",
     "BinaryProgram",
     "Constraint",
     "ILPSolution",

@@ -26,9 +26,10 @@ Two encoders produce byte-identical programs:
   within-row coefficient order all replicate the tree walk exactly, so
   optimal solutions *and* the enumeration order of tied optima match.
 
-:func:`make_encoder` picks between them (``REPRO_ILP_ENCODER`` /
-``ilp_encoder=`` knobs; compiled is the default when the result carries
-compiled provenance).
+:func:`make_encoder` picks between them by the result's provenance:
+compiled results get the array path, tree-mode results (no node pool)
+the tree walk.  The tree encoder is also the oracle the compiled one is
+tested against.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..analysis import knobs
 from ..complaints.complaint import (
     PredictionComplaint,
     TupleComplaint,
@@ -63,33 +63,14 @@ from .solver import ILPSolution
 
 Affine = tuple[dict[int, float], float]
 
-# Back-compat aliases; the registry in repro.analysis.knobs is canonical.
-ENCODER_ENV_VAR = knobs.ILP_ENCODER.env_var
-_ENCODER_CHOICES = knobs.ILP_ENCODER.choices
 
-
-def resolve_ilp_encoder(choice: str | None = None) -> str:
-    """Resolve the encoder knob: explicit argument, else the registered
-    ``REPRO_ILP_ENCODER`` environment knob, else compiled."""
-    if choice is None:
-        choice = knobs.read("ilp_encoder").strip() or "compiled"
-    if choice not in _ENCODER_CHOICES:
-        raise ILPError(
-            f"ilp_encoder must be one of {_ENCODER_CHOICES}, got {choice!r}"
-        )
-    return choice
-
-
-def make_encoder(result: QueryResult, choice: str | None = None) -> "TiresiasEncoder":
+def make_encoder(result: QueryResult) -> "TiresiasEncoder":
     """The TwoStep encoder for this result: array path when provenance is compiled.
 
-    Tree-mode results always get the tree-walking reference encoder; the
-    ``REPRO_ILP_ENCODER=tree`` escape hatch forces it for compiled results
-    too (both encoders build byte-identical programs).
+    Tree-mode results carry no node pool and get the tree-walking encoder;
+    both encoders build byte-identical programs.
     """
-    if resolve_ilp_encoder(choice) == "compiled" and getattr(
-        result, "compiled", False
-    ):
+    if getattr(result, "compiled", False):
         return CompiledILPEncoder(result)
     return TiresiasEncoder(result)
 

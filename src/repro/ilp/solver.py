@@ -4,28 +4,16 @@ This is the library's replacement for the paper's off-the-shelf solver
 (Gurobi / CPLEX).  Best-first branch & bound; each node solves the LP
 relaxation, prunes by bound, and branches on the most fractional variable.
 
-Two LP backends solve the relaxations:
-
-- ``"highs"`` (default when available): one *persistent* HiGHS instance
-  per program (:class:`PersistentLP`) built from the program's cached CSR
-  rows.  Branch decisions only mutate column bounds and no-good cuts are
-  appended as rows, so each node re-solve skips the matrix rebuild and
-  parse that dominate the reference backend.  The solver state is cleared
-  before every run, which keeps the returned vertices — and therefore
-  branching, optimum enumeration order, and TwoStep's removal orders —
-  bit-identical to the ``linprog`` reference (scipy's ``linprog`` is the
-  same HiGHS under a per-call wrapper).
-- ``"highs-warm"``: same instance, but re-solves warm-start from the
-  previous basis — roughly another 5x on the LP time, at the cost of
-  possibly landing on *different optimal vertices* than the reference on
-  degenerate LPs.  To keep the backend order-stable anyway,
-  :func:`enumerate_optima` canonically sorts a warm enumeration by
-  variable assignment (the optima are tied, so only the order was ever at
-  stake); a complete warm enumeration therefore equals the
-  canonically-sorted cold one.
-- ``"linprog"``: the original per-node ``scipy.optimize.linprog`` call
-  that rebuilds dense matrices every time.  Kept as the reference; the
-  benchmarks run it to anchor the persistent backend's speedup.
+Every relaxation is solved by one *persistent* HiGHS instance per program
+(:class:`PersistentLP`) built from the program's cached CSR rows.  Branch
+decisions only mutate column bounds and no-good cuts are appended as rows,
+so a node re-solve skips the matrix rebuild and parse of a per-call LP.
+The solver state is cleared before every solve, which keeps the returned
+vertices — and therefore branching, optimum enumeration order, and
+TwoStep's removal orders — bit-identical to the seed's per-node
+``scipy.optimize.linprog`` solver, kept in this module as a test oracle
+(scipy's ``linprog`` is the same HiGHS under a per-call wrapper).  The HiGHS bindings ship with scipy >= 1.15; without them
+:class:`PersistentLP` raises :class:`~repro.errors.ILPError`.
 
 Also provided:
 
@@ -59,11 +47,9 @@ except ImportError:  # pragma: no cover - environment without the bindings
 
 _INT_TOL = 1e-6
 
-DEFAULT_LP_BACKEND = "highs" if _highs_core is not None else "linprog"
-
 
 class PersistentLP:
-    """One HiGHS instance per program: build once, mutate, re-solve warm.
+    """One HiGHS instance per program: build once, mutate, re-solve cold.
 
     The 0-1 box and every constraint row are loaded a single time; branch
     & bound nodes only change column bounds (restored after each solve)
@@ -71,11 +57,10 @@ class PersistentLP:
     cuts as new rows via :meth:`sync`.
     """
 
-    def __init__(self, program: BinaryProgram, warm: bool = False) -> None:
-        if _highs_core is None:  # pragma: no cover
-            raise ILPError("the HiGHS bindings are unavailable")
+    def __init__(self, program: BinaryProgram) -> None:
+        if _highs_core is None:
+            raise ILPError("the HiGHS bindings are unavailable (scipy >= 1.15)")
         self.program = program
-        self.warm = bool(warm)
         n = program.n_vars
         self._highs = _highs_core._Highs()
         self._highs.setOptionValue("output_flag", False)
@@ -148,9 +133,8 @@ class PersistentLP:
         for index, value in columns:
             self._highs.changeColBounds(int(index), float(value), float(value))
         try:
-            if not self.warm:
-                # Cold solves reproduce the reference backend's vertices.
-                self._highs.clearSolver()
+            # Cold solves reproduce the linprog oracle's vertices.
+            self._highs.clearSolver()
             self._highs.run()
             status = self._highs.getModelStatus()
             if status != _highs_core.HighsModelStatus.kOptimal:
@@ -165,25 +149,6 @@ class PersistentLP:
                     float(self._base_lower[index]),
                     float(self._base_upper[index]),
                 )
-
-
-def _resolve_backend(lp_backend: str | None) -> str:
-    backend = lp_backend or DEFAULT_LP_BACKEND
-    if backend not in ("highs", "highs-warm", "linprog"):
-        raise ILPError(
-            f"unknown lp_backend {backend!r}; use 'highs', 'highs-warm', or 'linprog'"
-        )
-    if backend != "linprog" and _highs_core is None:  # pragma: no cover
-        backend = "linprog"
-    return backend
-
-
-def _make_relaxation_solver(program: BinaryProgram, backend: str):
-    """Pick the LP relaxation solver for this program."""
-    if backend in ("highs", "highs-warm"):
-        persistent = PersistentLP(program, warm=backend == "highs-warm")
-        return persistent.solve_relaxation
-    return lambda extra_fixed: _lp_relaxation(program, extra_fixed)
 
 
 @dataclass
@@ -249,27 +214,21 @@ def solve(
     program: BinaryProgram,
     node_limit: int = 20000,
     time_limit: float | None = None,
-    lp_backend: str | None = None,
     _relaxation=None,
 ) -> ILPSolution:
     """Minimize the program exactly (within the node/time budget).
 
-    ``lp_backend`` picks the backend: ``"highs"`` / ``"highs-warm"``
-    (persistent instance, default when available) or ``"linprog"`` — the
-    seed implementation preserved verbatim in :func:`solve_reference`.
+    Each node's LP relaxation is a cold re-solve of one
+    :class:`PersistentLP`; ``_relaxation`` lets :func:`enumerate_optima`
+    share that instance across its cut re-solves.
 
     Raises:
+        ILPError: ``node_limit`` is below 1.
         InfeasibleError: no feasible 0-1 point exists.
         ILPTimeoutError: budget exhausted before proving optimality.
     """
-    if _relaxation is None:
-        backend = _resolve_backend(lp_backend)
-        if backend == "linprog":
-            return solve_reference(
-                program, node_limit=node_limit, time_limit=time_limit
-            )
-        _relaxation = _make_relaxation_solver(program, backend)
-    relaxation = _relaxation
+    _check_budget("node_limit", node_limit)
+    relaxation = _relaxation or PersistentLP(program).solve_relaxation
     start = time.perf_counter()
     root = relaxation({})
     if root is None:
@@ -333,30 +292,25 @@ def enumerate_optima(
     max_solutions: int = 100,
     node_limit: int = 20000,
     time_limit: float | None = None,
-    lp_backend: str | None = None,
 ) -> list[ILPSolution]:
     """All optimal solutions, up to ``max_solutions``.
 
     Finds one optimum, then repeatedly adds a *no-good cut* excluding the
     last solution while constraining the objective to the optimal value.
     The length of the returned list (vs. ``max_solutions``) is TwoStep's
-    ambiguity measurement.  With the persistent backend the cuts are
-    appended to one live HiGHS model instead of being re-parsed from
-    scratch on every enumeration step.
+    ambiguity measurement.  The cuts are appended to one live HiGHS model
+    instead of being re-parsed from scratch on every enumeration step.
+
+    Raises:
+        ILPError: ``max_solutions`` or ``node_limit`` is below 1.
     """
-    backend = _resolve_backend(lp_backend)
-    if backend == "linprog":
-        return enumerate_optima_reference(
-            program,
-            max_solutions=max_solutions,
-            node_limit=node_limit,
-            time_limit=time_limit,
-        )
+    _check_budget("max_solutions", max_solutions)
+    _check_budget("node_limit", node_limit)
     # Work on a copy so the caller's program is untouched; one persistent
     # LP serves the base solve and every cut re-solve (the pin and cuts
     # are appended to the same live HiGHS model by sync()).
     restricted = program.clone()
-    relaxation = _make_relaxation_solver(restricted, backend)
+    relaxation = PersistentLP(restricted).solve_relaxation
     first = solve(
         program,
         node_limit=node_limit,
@@ -391,25 +345,12 @@ def enumerate_optima(
         if nxt.objective > optimum + 1e-6:
             break
         solutions.append(nxt)
-    if backend == "highs-warm":
-        return _canonical_order(solutions)
     return solutions
 
 
-def _canonical_order(solutions: list[ILPSolution]) -> list[ILPSolution]:
-    """Lexicographic tie-break over the enumerated (tied-optimal) optima.
-
-    Warm solves reuse the previous basis, so on degenerate LPs they can
-    land on different optimal vertices than a cold solve and *permute* the
-    discovery order of tied optima — removal orders downstream then depend
-    on solver-internal state.  Sorting the complete enumeration by variable
-    assignment (all objectives are equal at the optimum) makes
-    ``lp_backend="highs-warm"`` order-stable: the same solution set always
-    comes back in the same order, matching the canonically-sorted cold
-    enumeration.  Cold backends keep their raw discovery order, which is
-    pinned bit-identical between ``"highs"`` and ``"linprog"``.
-    """
-    return sorted(solutions, key=lambda solution: solution.values.tolist())
+def _check_budget(name: str, value: int) -> None:
+    if value < 1:
+        raise ILPError(f"{name} must be at least 1, got {value}")
 
 
 def pick_solution(
@@ -422,15 +363,16 @@ def pick_solution(
 
 
 # ---------------------------------------------------------------------------
-# Reference backend: the seed implementation, preserved verbatim
+# Test oracle: the seed implementation, preserved verbatim
 # ---------------------------------------------------------------------------
 #
-# ``lp_backend="linprog"`` routes here.  These functions rebuild a dense LP
-# and call ``scipy.optimize.linprog`` at every branch-and-bound node, exactly
-# as the original code did — per-coefficient feasibility checks included —
-# the benchmarks run them to anchor the persistent backend's speedup, and
-# the cold persistent backend is pinned to return bit-identical vertices
-# (both are HiGHS underneath).
+# No library code calls these.  Together with ``_lp_relaxation`` above they
+# rebuild a dense LP and call ``scipy.optimize.linprog`` at every
+# branch-and-bound node, exactly as the original code did — per-coefficient
+# feasibility checks included.  Tests pin :func:`solve` and
+# :func:`enumerate_optima` to return bit-identical vertices and optima
+# sequences (both are HiGHS underneath), and the compiled-provenance
+# benchmark runs them to anchor the persistent solver's speedup.
 
 
 def _is_feasible_reference(program: BinaryProgram, x, tol: float = 1e-6) -> bool:

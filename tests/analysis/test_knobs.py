@@ -8,7 +8,7 @@ from repro.analysis import knobs
 class TestRegistry:
     def test_registered_knobs(self):
         names = {knob.name for knob in knobs.all_knobs()}
-        assert {"n_workers", "ilp_encoder"} <= names
+        assert names == {"n_workers"}
 
     def test_all_knobs_is_sorted(self):
         names = [knob.name for knob in knobs.all_knobs()]
@@ -16,7 +16,7 @@ class TestRegistry:
 
     def test_lookup_by_env_var(self):
         assert knobs.by_env("REPRO_N_WORKERS").name == "n_workers"
-        assert knobs.by_env("REPRO_ILP_ENCODER").name == "ilp_encoder"
+        assert knobs.by_env("REPRO_NO_SUCH_KNOB") is None
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="n_workers"):
@@ -44,8 +44,8 @@ class TestRegistry:
 
 
 class TestMigratedResolvers:
-    """resolve_workers / resolve_ilp_encoder keep their
-    pre-registry semantics, now reading through knobs.read()."""
+    """resolve_workers keeps its pre-registry semantics, now reading
+    through knobs.read()."""
 
     def test_resolve_workers_env(self, monkeypatch):
         from repro.core.sharding import resolve_workers
@@ -64,24 +64,12 @@ class TestMigratedResolvers:
         with pytest.raises(DebuggingError):
             resolve_workers(None)
 
-    def test_resolve_ilp_encoder_env(self, monkeypatch):
-        from repro.ilp.encode import resolve_ilp_encoder
-
-        monkeypatch.setenv("REPRO_ILP_ENCODER", "tree")
-        assert resolve_ilp_encoder(None) == "tree"
-        monkeypatch.setenv("REPRO_ILP_ENCODER", "")
-        assert resolve_ilp_encoder(None) == "compiled"
-        monkeypatch.delenv("REPRO_ILP_ENCODER")
-        assert resolve_ilp_encoder("tree") == "tree"
-
     def test_env_var_aliases_preserved(self):
-        # Pre-registry module constants stay importable (used by tests
+        # The pre-registry module constant stays importable (used by tests
         # and external scripts).
         from repro.core.sharding import WORKERS_ENV_VAR
-        from repro.ilp.encode import ENCODER_ENV_VAR
 
         assert WORKERS_ENV_VAR == "REPRO_N_WORKERS"
-        assert ENCODER_ENV_VAR == "REPRO_ILP_ENCODER"
 
 
 class TestKnobDocs:

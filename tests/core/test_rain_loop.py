@@ -62,6 +62,21 @@ class TestFactory:
         ranker = make_ranker("twostep", ambiguity_cap=7)
         assert ranker.ambiguity_cap == 7
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_twostep_rejects_ambiguity_cap_below_one(self, cap):
+        with pytest.raises(DebuggingError, match="ambiguity_cap"):
+            make_ranker("twostep", ambiguity_cap=cap)
+
+    @pytest.mark.parametrize("node_limit", [0, -3])
+    def test_twostep_rejects_node_limit_below_one(self, node_limit):
+        with pytest.raises(DebuggingError, match="node_limit"):
+            make_ranker("twostep", node_limit=node_limit)
+
+    @pytest.mark.parametrize("time_limit", [0.0, -1.0])
+    def test_twostep_rejects_non_positive_time_limit(self, time_limit):
+        with pytest.raises(DebuggingError, match="time_limit"):
+            make_ranker("twostep", time_limit=time_limit)
+
 
 class TestDebuggerValidation:
     def test_complaint_methods_need_cases(self, debug_setting):
@@ -186,7 +201,9 @@ class TestLoop:
         db, model, X, y, corrupted, case = debug_setting
         debugger = RainDebugger(
             db, "m", X, y, [case], method="twostep", rng=0,
-            ranker_kwargs={"ambiguity_cap": 2, "time_limit": 15.0},
+            ranker_kwargs={
+                "ambiguity_cap": 2, "node_limit": 200, "time_limit": None,
+            },
         )
         report = debugger.run(max_removals=10, k_per_iteration=5)
         assert report.method == "twostep"

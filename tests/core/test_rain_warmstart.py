@@ -80,7 +80,9 @@ class TestWarmStartRegression:
     def test_twostep_identical_removal_order(self, dblp_factory):
         cold, warm = run_pair(
             dblp_factory, "twostep",
-            ranker_kwargs={"ambiguity_cap": 2, "time_limit": 15.0},
+            ranker_kwargs={
+                "ambiguity_cap": 2, "node_limit": 200, "time_limit": None,
+            },
             max_removals=10,
         )
         assert cold.removal_order == warm.removal_order

@@ -17,7 +17,6 @@ from repro.complaints import ComplaintCase, ValueComplaint
 from repro.core import RainDebugger, WarmStartState
 from repro.core.sharding import (
     execute_cases,
-    fixed_shards,
     resolve_workers,
     run_sharded,
     spawn_generators,
@@ -96,30 +95,13 @@ class TestShardedEqualsSerial:
             )
             assert sharded.removal_order == serial.removal_order, n_workers
 
-    def test_per_query_solves_with_solve_shards(self, adult_setting, seed_streams):
-        setting = adult_setting
-        cases = [setting.gender_case, setting.age_case]
-        rng = seed_streams["debugger"]
-        rk = {"per_query_solves": True, "solve_shard_size": 1}
-        initial = setting.model.get_params()
-        serial = run_debugger(
-            setting, cases, 0, rk=rk, initial_params=initial, rng=rng
-        )
-        for n_workers in (2, 4):
-            sharded = run_debugger(
-                setting, cases, n_workers, rk=rk, initial_params=initial, rng=rng
-            )
-            assert sharded.removal_order == serial.removal_order, n_workers
-            diag = sharded.iterations[0].diagnostics
-            assert diag["solve_shards"] == 2
-
     def test_twostep_sharded_rng_stays_in_case_order(
         self, adult_setting, seed_streams
     ):
         setting = adult_setting
         cases = [setting.gender_case, setting.age_case]
         rng = seed_streams["debugger"]
-        rk = {"ambiguity_cap": 3, "time_limit": 10.0}
+        rk = {"ambiguity_cap": 3, "node_limit": 200, "time_limit": None}
         initial = setting.model.get_params()
         serial = run_debugger(
             setting, cases, 0, method="twostep", rk=rk,
@@ -181,12 +163,9 @@ def harness_for(determinism_harness, setting, dataset, method, rk, **kwargs):
 METHODS = [
     pytest.param("holistic", {}, id="holistic"),
     pytest.param(
-        "holistic",
-        {"per_query_solves": True, "solve_shard_size": 1},
-        id="holistic-per-query",
-    ),
-    pytest.param(
-        "twostep", {"ambiguity_cap": 3, "time_limit": 10.0}, id="twostep"
+        "twostep",
+        {"ambiguity_cap": 3, "node_limit": 200, "time_limit": None},
+        id="twostep",
     ),
     pytest.param("loss", {}, id="loss"),
     pytest.param("infloss", {}, id="infloss"),
@@ -354,15 +333,6 @@ class TestShardHelpers:
         )
         assert debugger.n_workers == 0
 
-    def test_fixed_shards_partition(self):
-        shards = fixed_shards(7, 3)
-        assert [s.tolist() for s in shards] == [[0, 1, 2], [3, 4, 5], [6]]
-        np.testing.assert_array_equal(
-            np.concatenate(shards), np.arange(7)
-        )
-        with pytest.raises(DebuggingError):
-            fixed_shards(7, 0)
-
     def test_run_sharded_ordered_merge(self):
         items = list(range(20))
         assert run_sharded(lambda x: x * x, items, 4) == [
@@ -391,83 +361,3 @@ class TestWarmStartStateEdgeCases:
         np.testing.assert_array_equal(
             warm.block, np.arange(12.0).reshape(3, 4)[:, [0, 2]]
         )
-
-    def test_drop_cases_realigns_q_block(self):
-        warm = WarmStartState(q_block=np.arange(12.0).reshape(4, 3))
-        warm.drop_cases(np.asarray([1]))
-        np.testing.assert_array_equal(
-            warm.q_block, np.arange(12.0).reshape(4, 3)[[0, 2, 3]]
-        )
-        assert warm.q_block_for(3, 3) is not None
-        assert warm.q_block_for(4, 3) is None
-
-    def test_drop_cases_none_and_empty(self):
-        warm = WarmStartState()
-        warm.drop_cases(np.asarray([0]))  # no q_block: no-op
-        warm.q_block = np.ones((2, 3))
-        warm.drop_cases(np.asarray([], dtype=np.int64))
-        assert warm.q_block.shape == (2, 3)
-
-    def test_q_block_survives_case_pruning_in_solves(self):
-        """Pruning a case keeps the remaining rows warm-starting theirs."""
-        warm = WarmStartState(q_block=np.vstack([np.full(3, i) for i in range(3)]))
-        warm.drop_cases(np.asarray([0]))
-        np.testing.assert_array_equal(warm.q_block[0], np.full(3, 1.0))
-
-    def test_drop_cases_mid_run_keeps_q_block_consistent(self, seed_streams):
-        """Regression: pruning a case mid-run must leave the per-case warm
-        block consumable by the next per-query Holistic solve, and the
-        warm-started scores must match a cold solve on the surviving cases.
-        """
-        from repro.core import make_ranker
-        from repro.utils import Stopwatch
-
-        setting = build_serving_setting(
-            0.5, n_train=120, n_query=300, seed=seed_streams["serving"]
-        )
-        cases = setting.cases[:3]
-        debugger = RainDebugger(
-            setting.database, "income", setting.X_train, setting.y_corrupted,
-            cases, method="holistic", rng=0,
-            ranker_kwargs={"per_query_solves": True},
-        )
-        active = np.arange(setting.X_train.shape[0])
-        X_active, y_active = setting.X_train, setting.y_corrupted
-        debugger._train_stage(X_active, y_active)
-        case_results, stats = debugger._execute_stage()
-
-        # Iteration k: a real 3-case per-query solve fills the warm block.
-        warm = WarmStartState()
-        ranker = make_ranker("holistic", per_query_solves=True)
-        ranker.scores(
-            debugger._make_context(
-                X_active, y_active, active, case_results, Stopwatch(), warm,
-                stats,
-            )
-        )
-        n_params = setting.model.n_params
-        assert warm.q_block is not None
-        assert warm.q_block.shape == (3, n_params)
-
-        # The driver prunes case 1 mid-run.
-        warm.drop_cases(np.asarray([1]))
-        assert warm.q_block_for(3, n_params) is None  # stale shape refused
-        assert warm.q_block_for(2, n_params) is not None
-
-        # Iteration k+1 over the surviving cases consumes the warm rows…
-        surviving = [case_results[0], case_results[2]]
-        warm_scores = make_ranker("holistic", per_query_solves=True).scores(
-            debugger._make_context(
-                X_active, y_active, active, surviving, Stopwatch(), warm, None
-            )
-        )
-        assert warm.q_block.shape == (2, n_params)
-        # …and produces the same ranking as a cold solve (warm starts are
-        # accelerators, never state the scores depend on).
-        cold_scores = make_ranker("holistic", per_query_solves=True).scores(
-            debugger._make_context(
-                X_active, y_active, active, surviving, Stopwatch(),
-                WarmStartState(), None,
-            )
-        )
-        np.testing.assert_allclose(warm_scores, cold_scores, atol=1e-6)

@@ -5,7 +5,7 @@ program* as the tree-walking golden reference — same variables in the
 same order, same constraint rows with the same coefficient order and
 right-hand sides — because constraint/variable order changes which tied
 optimum the solver enumerates first, and TwoStep removal orders must be
-bit-identical under ``REPRO_ILP_ENCODER``.  A seeded generator samples
+bit-identical whichever encoder builds the program.  A seeded generator samples
 AND/OR-heavy predicates over an L ⋈ R equi-join (the MNIST-join shape of
 the paper's Figure 6) under selection / COUNT / grouped SUM-AVG shapes,
 and every sampled plan must agree on four levels:
@@ -23,12 +23,10 @@ from repro.complaints import ComplaintCase, TupleComplaint, ValueComplaint
 from repro.core.rain import RainDebugger
 from repro.errors import ILPError
 from repro.ilp import (
-    ENCODER_ENV_VAR,
     CompiledILPEncoder,
     TiresiasEncoder,
     enumerate_optima,
     make_encoder,
-    resolve_ilp_encoder,
 )
 from repro.relational import (
     Aggregate,
@@ -49,6 +47,9 @@ from repro.relational import (
 )
 
 SEEDS = list(range(8))
+# Node budgets, not wall clock: every solve that finds an optimum here
+# needs a few dozen nodes at most.
+NODE_LIMIT = 200
 
 
 @pytest.fixture(scope="module")
@@ -247,17 +248,17 @@ class TestCompiledVsTreeProgram:
 
     def test_identical_optima_enumeration(self, join_db, seed):
         tree, compiled, _ = build_encoders(join_db, seed)
+        # A seed without an incumbent within the budget must fail the same
+        # way, at the same node, under both encoders.
+        budget = {"max_solutions": 8, "node_limit": NODE_LIMIT, "time_limit": None}
         try:
-            tree_solutions = enumerate_optima(
-                tree.program, max_solutions=8, time_limit=20.0
-            )
-        except ILPError:
-            with pytest.raises(ILPError):
-                enumerate_optima(compiled.program, max_solutions=8, time_limit=20.0)
+            tree_solutions = enumerate_optima(tree.program, **budget)
+        except ILPError as tree_error:
+            with pytest.raises(ILPError) as compiled_error:
+                enumerate_optima(compiled.program, **budget)
+            assert str(compiled_error.value) == str(tree_error)
             return
-        compiled_solutions = enumerate_optima(
-            compiled.program, max_solutions=8, time_limit=20.0
-        )
+        compiled_solutions = enumerate_optima(compiled.program, **budget)
         assert len(tree_solutions) == len(compiled_solutions)
         for left, right in zip(tree_solutions, compiled_solutions):
             assert left.objective == right.objective
@@ -318,7 +319,7 @@ class TestCrossComplaintDedup:
 
 class TestTwoStepRemovalOrders:
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_identical_removal_orders(self, join_db, seed):
+    def test_identical_removal_orders(self, join_db, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         while True:
             plan, shape = random_plan(rng)
@@ -332,13 +333,16 @@ class TestTwoStepRemovalOrders:
         X = join_db.relation("L").column("features")
         model = join_db.model("m")
 
-        def run_with(encoder_choice):
+        def run_with(encoder_class):
             rng_fit = np.random.default_rng(100 + seed)
             n, d = 40, 4
             X_train = rng_fit.normal(size=(n, d))
             y_train = (X_train @ np.asarray([1.5, -2.0, 0.5, 0.0]) > 0).astype(int)
             params = model.get_params()
             try:
+                monkeypatch.setattr(
+                    "repro.core.rankers.make_encoder", encoder_class
+                )
                 debugger = RainDebugger(
                     join_db,
                     "m",
@@ -348,9 +352,9 @@ class TestTwoStepRemovalOrders:
                     method="twostep",
                     rng=seed,
                     ranker_kwargs={
-                        "ilp_encoder": encoder_choice,
                         "ambiguity_cap": 5,
-                        "time_limit": 20.0,
+                        "node_limit": NODE_LIMIT,
+                        "time_limit": None,
                     },
                     provenance="compiled",
                 )
@@ -359,30 +363,13 @@ class TestTwoStepRemovalOrders:
             finally:
                 model.set_params(params)
 
-        assert run_with("tree") == run_with("compiled")
+        # The oracle run forces the tree walk on compiled provenance.
+        assert run_with(TiresiasEncoder) == run_with(make_encoder)
         assert X.shape[1] == 4
 
 
-class TestEncoderKnob:
-    def test_default_is_compiled(self, monkeypatch):
-        monkeypatch.delenv(ENCODER_ENV_VAR, raising=False)
-        assert resolve_ilp_encoder() == "compiled"
-
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv(ENCODER_ENV_VAR, "tree")
-        assert resolve_ilp_encoder() == "tree"
-
-    def test_explicit_choice_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENCODER_ENV_VAR, "tree")
-        assert resolve_ilp_encoder("compiled") == "compiled"
-
-    def test_invalid_choice_raises(self, monkeypatch):
-        monkeypatch.setenv(ENCODER_ENV_VAR, "nonsense")
-        with pytest.raises(ILPError):
-            resolve_ilp_encoder()
-
-    def test_make_encoder_dispatch(self, join_db, monkeypatch):
-        monkeypatch.delenv(ENCODER_ENV_VAR, raising=False)
+class TestEncoderDispatch:
+    def test_make_encoder_dispatch(self, join_db):
         rng = np.random.default_rng(1)
         plan, _ = random_plan(rng)
         executor = Executor(join_db)
@@ -392,9 +379,6 @@ class TestEncoderKnob:
         # Tree-mode results have no pool: always the tree walk.
         encoder = make_encoder(tree_result)
         assert type(encoder) is TiresiasEncoder
-        # The escape hatch forces the tree walk even on compiled results.
-        monkeypatch.setenv(ENCODER_ENV_VAR, "tree")
-        assert type(make_encoder(compiled_result)) is TiresiasEncoder
 
 
 class TestAuxCacheKeying:

@@ -1,21 +1,26 @@
-"""Persistent HiGHS LP backend vs. the scipy ``linprog`` reference.
+"""The persistent HiGHS solver vs. the scipy ``linprog`` oracle.
 
-The cold persistent backend must return the same optimal vertices as the
-per-call reference (both are HiGHS underneath), so branch & bound and the
-optimum enumeration behave bit-identically across backends.
+:func:`solve` and :func:`enumerate_optima` must return the same optimal
+vertices as the seed's per-call ``linprog`` branch & bound
+(:func:`solve_reference` / :func:`enumerate_optima_reference`; both are
+HiGHS underneath), so optimum enumeration — and TwoStep's removal orders —
+stay bit-identical to the seed.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import ILPError, InfeasibleError
+from repro.ilp import solver
 from repro.ilp.model import BinaryProgram
 from repro.ilp.solver import (
     PersistentLP,
     _highs_core,
     _lp_relaxation,
     enumerate_optima,
+    enumerate_optima_reference,
     solve,
+    solve_reference,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -70,65 +75,55 @@ class TestVertexParity:
         assert PersistentLP(program).solve_relaxation({}) is None
 
 
-class TestBackendEquivalence:
-    def test_solve_agrees_across_backends(self):
+class TestReferenceOracle:
+    def test_solve_agrees_with_linprog(self):
         program = mixed_program()
-        fast = solve(program, lp_backend="highs")
-        slow = solve(program, lp_backend="linprog")
+        fast = solve(program)
+        slow = solve_reference(program)
         assert fast.objective == pytest.approx(slow.objective)
         np.testing.assert_array_equal(fast.values, slow.values)
 
-    def test_enumeration_sequence_identical(self):
+    # A cap of 100 runs the enumeration to exhaustion: all C(6, 2) = 15
+    # tied optima, ending on an infeasible cut re-solve.
+    @pytest.mark.parametrize("cap,expected", [(10, 10), (100, 15)])
+    def test_enumeration_sequence_identical(self, cap, expected):
         program = flip_program(n=6, target=2)
-        fast = enumerate_optima(program, max_solutions=10, lp_backend="highs")
-        slow = enumerate_optima(program, max_solutions=10, lp_backend="linprog")
-        assert len(fast) == len(slow)
+        fast = enumerate_optima(program, max_solutions=cap)
+        slow = enumerate_optima_reference(program, max_solutions=cap)
+        assert len(fast) == len(slow) == expected
         for a, b in zip(fast, slow):
             assert a.objective == pytest.approx(b.objective)
             np.testing.assert_array_equal(a.values, b.values)
-
-    def test_warm_enumeration_is_canonically_ordered(self):
-        """Warm enumeration == lexicographically-sorted cold enumeration.
-
-        Warm solves reuse the previous basis, so on degenerate LPs they can
-        discover tied optima in a state-dependent order.  The backend pins
-        them down by sorting the complete enumeration by variable
-        assignment; the cold backends keep raw discovery order, so the warm
-        result must equal the canonically-sorted cold one.
-        """
-        program = flip_program(n=6, target=2)
-        warm = enumerate_optima(
-            program, max_solutions=100, lp_backend="highs-warm"
-        )
-        cold = enumerate_optima(program, max_solutions=100, lp_backend="highs")
-        canonical = sorted(cold, key=lambda solution: solution.values.tolist())
-        assert len(warm) == len(canonical) == 15  # C(6, 2) tied optima
-        for a, b in zip(warm, canonical):
-            assert a.objective == pytest.approx(b.objective)
-            np.testing.assert_array_equal(a.values, b.values)
-
-    def test_warm_enumeration_order_stable_across_runs(self):
-        program = flip_program(n=5, target=2)
-        first = enumerate_optima(
-            program, max_solutions=100, lp_backend="highs-warm"
-        )
-        second = enumerate_optima(
-            program.clone(), max_solutions=100, lp_backend="highs-warm"
-        )
-        assert [a.values.tolist() for a in first] == [
-            b.values.tolist() for b in second
-        ]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ILPError):
-            solve(mixed_program(), lp_backend="gurobi")
 
     def test_infeasible_program_raises(self):
         program = BinaryProgram()
         program.add_var("x")
         program.add_constraint({0: 1.0}, ">=", 2.0)
         with pytest.raises(InfeasibleError):
-            solve(program, lp_backend="highs")
+            solve(program)
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("node_limit", [0, -3])
+    def test_solve_rejects_node_limit_below_one(self, node_limit):
+        with pytest.raises(ILPError, match="node_limit"):
+            solve(mixed_program(), node_limit=node_limit)
+
+    @pytest.mark.parametrize("node_limit", [0, -3])
+    def test_enumerate_rejects_node_limit_below_one(self, node_limit):
+        with pytest.raises(ILPError, match="node_limit"):
+            enumerate_optima(flip_program(), node_limit=node_limit)
+
+    @pytest.mark.parametrize("max_solutions", [0, -3])
+    def test_enumerate_rejects_max_solutions_below_one(self, max_solutions):
+        with pytest.raises(ILPError, match="max_solutions"):
+            enumerate_optima(flip_program(), max_solutions=max_solutions)
+
+    def test_missing_highs_bindings_raise(self, monkeypatch):
+        # No silent fallback to the linprog oracle.
+        monkeypatch.setattr(solver, "_highs_core", None)
+        with pytest.raises(ILPError, match="HiGHS"):
+            solve(mixed_program())
 
 
 class TestProgramPlumbing:
