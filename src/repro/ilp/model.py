@@ -326,14 +326,43 @@ class BinaryProgram:
     def _sync_rows_builder(self) -> None:
         # Everything below _rows_built is already in the CSR (including
         # lazy block rows, which are born there); the tail is always made
-        # of real Constraint objects from add_constraint.
-        for constraint in self._constraints[self._rows_built :]:
-            self._push_row(
-                np.asarray([index for index, _ in constraint.coeffs], dtype=np.int64),
-                np.asarray([coeff for _, coeff in constraint.coeffs], dtype=np.float64),
-                constraint.sense,
-                constraint.rhs,
-            )
+        # of real Constraint objects from add_constraint, packed in one go.
+        pending = self._constraints[self._rows_built :]
+        if not pending:
+            return
+        counts = np.fromiter(
+            (len(constraint.coeffs) for constraint in pending),
+            dtype=np.int64,
+            count=len(pending),
+        )
+        nnz = int(counts.sum())
+        indices = np.fromiter(
+            (index for constraint in pending for index, _ in constraint.coeffs),
+            dtype=np.int64,
+            count=nnz,
+        )
+        values = np.fromiter(
+            (coeff for constraint in pending for _, coeff in constraint.coeffs),
+            dtype=np.float64,
+            count=nnz,
+        )
+        self._reserve_rows(len(pending), nnz)
+        first_nnz = self._csr_nnz
+        self._csr_indices[first_nnz : first_nnz + nnz] = indices
+        self._csr_values[first_nnz : first_nnz + nnz] = values
+        self._csr_nnz = first_nnz + nnz
+        row = self._rows_built
+        stop = row + len(pending)
+        self._csr_starts[row + 1 : stop + 1] = first_nnz + np.cumsum(counts)
+        rhs = np.fromiter(
+            (constraint.rhs for constraint in pending),
+            dtype=np.float64,
+            count=len(pending),
+        )
+        senses = np.asarray([constraint.sense for constraint in pending])
+        self._csr_lower[row:stop] = np.where(senses == "<=", -np.inf, rhs)
+        self._csr_upper[row:stop] = np.where(senses == ">=", np.inf, rhs)
+        self._rows_built = stop
 
     def add_dense_constraint(
         self, values: np.ndarray, sense: str, rhs: float
@@ -351,11 +380,14 @@ class BinaryProgram:
                 f"dense row has {values.shape[0]} coefficients for "
                 f"{self.n_vars} variables"
             )
+        if sense not in SENSES:
+            raise ILPError(f"constraint sense must be one of {SENSES}, got {sense!r}")
         nonzero = np.flatnonzero(values)
-        packed = tuple(zip(nonzero.tolist(), values[nonzero].tolist()))
         self._sync_rows_builder()
-        self._constraints.append(Constraint(packed, sense, float(rhs)))
         self._push_row(nonzero, values[nonzero], sense, float(rhs))
+        # Held in the CSR only, like add_constraint_block rows.
+        self._constraints.append(None)
+        self._n_lazy += 1
 
     def is_feasible(self, x, tol: float = 1e-6) -> bool:
         for index, value in self._fixed.items():

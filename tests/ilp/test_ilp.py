@@ -65,6 +65,78 @@ class TestModel:
         program.set_objective({a: 2.0, b: -1.0}, constant=5.0)
         assert program.objective_value([1, 1]) == 6.0
 
+    @staticmethod
+    def _grow(program, sync_each_step):
+        for _ in range(5):
+            program.add_var()
+        steps = [
+            lambda: program.add_constraint({0: 1.0, 3: -2.0}, "<=", 1.0),
+            lambda: program.add_constraint({4: 0.5}, ">=", 0.25),
+            lambda: program.add_constraint({}, "<=", 0.0),
+            lambda: program.add_constraint({1: 1.0, 2: 1.0, 4: 1.0}, "=", 1.0),
+            lambda: program.add_dense_constraint(
+                np.asarray([0.0, -1.0, 1.0, 0.0, 1.0]), ">=", 0.0
+            ),
+            lambda: program.add_constraint({2: 3.0}, ">=", -1.0),
+            lambda: program.add_constraint_block(
+                np.asarray([0, 2, 3]),
+                np.asarray([0, 1, 4]),
+                np.asarray([1.0, 1.0, -1.0]),
+                np.asarray([2, 0]),
+                np.asarray([1.0, 0.0]),
+            ),
+            lambda: program.add_constraint({3: 1.0, 0: 1.0}, "=", 1.0),
+        ]
+        for step in steps:
+            step()
+            if sync_each_step:
+                program.rows()
+        return program
+
+    def test_batched_rows_match_row_by_row(self):
+        batched = self._grow(BinaryProgram(), sync_each_step=False)
+        stepwise = self._grow(BinaryProgram(), sync_each_step=True)
+        for a, b in zip(batched.rows(), stepwise.rows()):
+            np.testing.assert_array_equal(a, b)
+        starts, indices, values, lower, upper = batched.rows()
+        inf = np.inf
+        np.testing.assert_array_equal(starts, [0, 2, 3, 3, 6, 9, 10, 12, 13, 15])
+        np.testing.assert_array_equal(
+            indices, [0, 3, 4, 1, 2, 4, 1, 2, 4, 2, 0, 1, 4, 3, 0]
+        )
+        np.testing.assert_array_equal(
+            values, [1, -2, 0.5, 1, 1, 1, -1, 1, 1, 3, 1, 1, -1, 1, 1]
+        )
+        np.testing.assert_array_equal(
+            lower, [-inf, 0.25, -inf, 1, 0, -1, 1, -inf, 1]
+        )
+        np.testing.assert_array_equal(upper, [1, inf, 0, 1, inf, inf, 1, 0, 1])
+        assert batched.constraints == stepwise.constraints
+        assert batched.constraints[4].coeffs == ((1, -1.0), (2, 1.0), (4, 1.0))
+        assert batched.constraints[4].sense == ">="
+
+    def test_clone_of_dense_rows_is_independent(self):
+        program = BinaryProgram()
+        for _ in range(3):
+            program.add_var()
+        program.add_dense_constraint(np.asarray([1.0, 0.0, 1.0]), "<=", 1.0)
+        copy = program.clone()
+        copy.add_dense_constraint(np.asarray([0.0, 1.0, 1.0]), ">=", 1.0)
+        assert program.n_constraints == 1
+        assert copy.n_constraints == 2
+        assert program.constraints[0] == copy.constraints[0]
+        assert program.constraints[0].coeffs == ((0, 1.0), (2, 1.0))
+        assert program.is_feasible([0, 0, 0])
+        assert not copy.is_feasible([0, 0, 0])
+        assert copy.is_feasible([0, 1, 0])
+
+    def test_dense_constraint_bad_sense_raises(self):
+        program = BinaryProgram()
+        program.add_var()
+        with pytest.raises(ILPError, match="sense"):
+            program.add_dense_constraint(np.asarray([1.0]), "==", 1.0)
+        assert program.n_constraints == 0
+
 
 class TestSolver:
     def test_simple_cover(self):
