@@ -17,18 +17,26 @@ DBLP n=400 / n_query=300 configuration): for both TwoStep and Holistic,
   solves themselves, which the identical-orders requirement pins to the
   reference solve sequence.
 
+The Rain loop itself only runs compiled provenance; the reference arm
+reaches the executor's tree oracle by routing every ``Executor.execute``
+call through ``provenance="tree"``, serially (``n_workers=0``) so the
+plan-dedup cache is never involved.
+
 Fast tier: three train-rank-fix iterations per configuration.
 """
+
+from functools import partialmethod
 
 from conftest import save_and_print
 
 from repro.core import rankers
 from repro.experiments.common import ExperimentResult, build_dblp_setting, run_method
 from repro.ilp.solver import enumerate_optima, enumerate_optima_reference
+from repro.relational.executor import Executor
 
 CONFIGS = {
-    "reference": {"provenance": "tree", "enumerate": enumerate_optima_reference},
-    "compiled": {"provenance": "compiled", "enumerate": enumerate_optima},
+    "reference": {"tree": True, "enumerate": enumerate_optima_reference},
+    "compiled": {"tree": False, "enumerate": enumerate_optima},
 }
 
 
@@ -36,6 +44,12 @@ def _run(setting, initial_params, method, config, monkeypatch):
     setting.model.set_params(initial_params)
     with monkeypatch.context() as patch:
         patch.setattr(rankers, "enumerate_optima", config["enumerate"])
+        if config["tree"]:
+            patch.setattr(
+                Executor,
+                "execute",
+                partialmethod(Executor.execute, provenance="tree"),
+            )
         report = run_method(
             setting.database,
             setting.model_name,
@@ -47,7 +61,7 @@ def _run(setting, initial_params, method, config, monkeypatch):
             k_per_iteration=10,
             seed=0,
             reset_params=initial_params,
-            provenance=config["provenance"],
+            n_workers=0 if config["tree"] else None,
         )
     iterations = max(1, len([r for r in report.iterations if r.removed]))
     timings = report.timings

@@ -5,9 +5,11 @@ SUM-AVG complaint shapes.  The bench pins the acceptance properties of
 the compiled encoder:
 
 - the emitted program is IDENTICAL to the tree encoder's (variable
-  count, objective, constraint rows and coefficient order — names
-  aside), so branch & bound enumerates the same optima in the same
-  order and TwoStep removal orders are bit-identical;
+  count, objective, constraint rows and coefficient order, fixed
+  variables — names aside), so branch & bound, a pure function of the
+  program, enumerates the same optima in the same order and TwoStep
+  removal orders are bit-identical (the enumeration itself is pinned by
+  ``tests/ilp/test_encode_compiled.py``);
 - array lowering (bulk aux-variable blocks + CSR constraint blocks
   straight from the NodePool) beats the tree walk by at least 2x on
   every aggregate scenario, at least 3x summed over them;
@@ -39,7 +41,6 @@ def test_bench_ilp_encode(benchmark, out_dir):
     }
     for row in result.rows:
         assert row["program_identical"], row
-        assert row["order_matches"], row
     assert rows["count"]["speedup"] >= 2.0, rows["count"]
     assert rows["grouped_sum_avg"]["speedup"] >= 2.0, rows["grouped_sum_avg"]
     assert rows["AGGREGATE_TOTAL"]["speedup"] >= 3.0, rows["AGGREGATE_TOTAL"]

@@ -7,7 +7,8 @@ queries sharing the model), :class:`RainDebugger` iterates:
 1. **train** — (re)fit the model on the active training records,
    warm-started from the previous parameters;
 2. **execute** — rerun every complained-about query in debug mode,
-   capturing provenance;
+   capturing compiled provenance (one node-array pool per result, which
+   feeds both TwoStep's ILP and Holistic's relaxed objective);
 3. **rank** — score the active training records with the configured
    approach (Loss / InfLoss / TwoStep / Holistic);
 4. **fix** — delete the top-k records and repeat.
@@ -25,7 +26,9 @@ and by row-slicing when only records were deleted.
 
 The ``method="auto"`` heuristic matches Section 5.1: probe the TwoStep ILP
 for the number of optimal solutions; if the fix is unique, use TwoStep,
-otherwise use Holistic.
+otherwise use Holistic.  The probe is budgeted in branch & bound nodes
+only, never in wall-clock seconds, so the choice does not depend on how
+fast or loaded the host is.
 
 Complaint satisfaction is drained columnar
 (:func:`~repro.complaints.complaint.all_satisfied_columnar`): all
@@ -41,8 +44,7 @@ once and shared across all cases over that plan — and shard-aware rankers
 fan per-case encode work out to a thread pool
 (:mod:`~repro.core.sharding`).  Worker count never changes removal
 orders: per-case results merge in case order and the run RNG is only
-consumed on the driver thread in case order.  ``provenance="tree"``
-always runs serially.
+consumed on the driver thread in case order.
 """
 
 from __future__ import annotations
@@ -135,7 +137,6 @@ class RainDebugger:
         cg_max_iter: int | None = None,
         cg_tol: float = 1e-8,
         warm_start_cg: bool = True,
-        provenance: str = "compiled",
         n_workers: int | None = None,
     ) -> None:
         if not cases and method in ("auto", "twostep", "holistic"):
@@ -163,18 +164,9 @@ class RainDebugger:
         self.cg_max_iter = cg_max_iter
         self.cg_tol = float(cg_tol)
         self.warm_start_cg = bool(warm_start_cg)
-        if provenance not in ("compiled", "tree"):
-            raise DebuggingError(
-                f"provenance must be 'compiled' or 'tree', got {provenance!r}"
-            )
-        self.provenance = provenance
         # Sharded serving: 0 = serial execution, >= 1 = the worker-pool
-        # path (None defers to REPRO_N_WORKERS).  The tree representation
-        # never shares or dedupes executions, so it pins the worker count
-        # to 0.
+        # path (None defers to REPRO_N_WORKERS).
         self.n_workers = resolve_workers(n_workers)
-        if self.provenance == "tree":
-            self.n_workers = 0
         # Per-sample gradients survive across iterations while θ* is
         # unchanged; top-k deletions only slice rows out of the cached matrix.
         self._grad_cache = PerSampleGradCache()
@@ -199,13 +191,11 @@ class RainDebugger:
             return self.requested_method
         self._ensure_fitted()
         for case, plan in zip(self.cases, self._plans):
-            result = self.executor.execute(plan, debug=True, provenance=self.provenance)
+            result = self.executor.execute(plan, debug=True)
             try:
                 encoder = make_encoder(result)
                 encoder.add_complaints(case.complaints)
-                solutions = enumerate_optima(
-                    encoder.program, max_solutions=2, time_limit=10.0
-                )
+                solutions = enumerate_optima(encoder.program, max_solutions=2)
             except ILPError:
                 return "holistic"
             if len(solutions) != 1:
@@ -324,22 +314,12 @@ class RainDebugger:
             # Sharded serving: one execution per distinct plan fingerprint,
             # shared across its cases; distinct plans run on the worker pool.
             return execute_cases(
-                self.executor,
-                self.cases,
-                self._plans,
-                self.provenance,
-                self.n_workers,
+                self.executor, self.cases, self._plans, self.n_workers
             )
-        case_results: list[tuple[ComplaintCase, QueryResult]] = []
-        for case, plan in zip(self.cases, self._plans):
-            case_results.append(
-                (
-                    case,
-                    self.executor.execute(
-                        plan, debug=True, provenance=self.provenance
-                    ),
-                )
-            )
+        case_results: list[tuple[ComplaintCase, QueryResult]] = [
+            (case, self.executor.execute(plan, debug=True))
+            for case, plan in zip(self.cases, self._plans)
+        ]
         return case_results, None
 
     def _make_context(

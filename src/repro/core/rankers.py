@@ -32,11 +32,7 @@ from ..ilp.encode import make_encoder
 from ..ilp.solver import enumerate_optima, pick_solution
 from ..influence.functions import InfluenceAnalyzer, q_grad_for_target_predictions
 from ..relational.executor import QueryResult
-from ..relaxation.objective import (
-    RelaxedComplaintObjective,
-    batched_case_objectives,
-    batched_q_and_grads,
-)
+from ..relaxation.objective import batched_case_objectives, batched_q_and_grads
 from ..utils import Stopwatch
 from .sharding import run_sharded
 
@@ -79,11 +75,11 @@ class WarmStartState:
 class IterationContext:
     """Everything a ranker may need for one train-rank-fix iteration.
 
-    ``n_workers`` is the serving layer's worker-pool size: ``0`` keeps
-    every ranker on its serial code path; ``>= 1`` lets shard-aware
-    rankers fan per-case work out to threads.  Worker count never changes
-    scores — per-case results merge in case order and all RNG consumption
-    stays on the driver thread in case order.
+    ``n_workers`` is the serving layer's worker-pool size: with ``>= 2``
+    shard-aware rankers fan per-case work out to threads, otherwise the
+    same per-case calls run serially in case order.  Worker count never
+    changes scores — per-case results merge in case order and all RNG
+    consumption stays on the driver thread in case order.
     """
 
     model: object
@@ -167,33 +163,22 @@ class HolisticRanker(Ranker):
     and its gradient drives one scalar influence solve — the paper's
     formulation, also for the multi-query runs of Section 6.5.
 
-    Serving-layer sharding: when the context carries ``n_workers >= 1``
-    the per-case relaxation sweeps fan out to the worker pool (cases
-    sharing a query result also share one probability-matrix evaluation);
-    the gradients are summed in case order, so every worker count
-    produces identical scores.
+    Cases sharing a query result share one probability-matrix evaluation,
+    and with ``n_workers >= 2`` the per-case relaxation sweeps fan out to
+    the worker pool; the gradients are summed in case order, so every
+    worker count produces identical scores.
     """
 
     name = "holistic"
 
     def scores(self, ctx: IterationContext) -> np.ndarray:
         with ctx.watch.time("encode"):
-            if ctx.n_workers >= 1:
-                objectives = batched_case_objectives(ctx.case_results)
-                q_values, q_grads = batched_q_and_grads(
-                    objectives, n_workers=ctx.n_workers
-                )
-                q_total = 0.0
-                for q_value in q_values:
-                    q_total += q_value
-            else:
-                q_grads = []
-                q_total = 0.0
-                for case, result in ctx.case_results:
-                    objective = RelaxedComplaintObjective(result, case.complaints)
-                    q_value, q_grad = objective.q_and_grad_theta()
-                    q_grads.append(q_grad)
-                    q_total += q_value
+            q_values, q_grads = batched_q_and_grads(
+                batched_case_objectives(ctx.case_results), n_workers=ctx.n_workers
+            )
+            q_total = 0.0
+            for q_value in q_values:
+                q_total += q_value
             ctx.diagnostics["q_value"] = q_total
         with ctx.watch.time("rank"):
             warm = ctx.warm_start
@@ -223,8 +208,9 @@ class TwoStepRanker(Ranker):
     the enumerated count is reported as the iteration's ambiguity and the
     "opaque solver pick" is a seeded uniform draw among them (Theorem A.1's
     model).  Set ``ambiguity_cap=1`` to take the solver's first optimum.
-    ``node_limit`` and ``time_limit`` (``None`` = no wall clock) budget
-    each branch & bound solve.
+    ``node_limit`` budgets each branch & bound solve.  ``time_limit`` adds
+    an opt-in wall clock; the default ``None`` leaves the node budget as
+    the only limit, so removal orders do not depend on host speed.
     """
 
     name = "twostep"
@@ -233,7 +219,7 @@ class TwoStepRanker(Ranker):
         self,
         ambiguity_cap: int = 20,
         node_limit: int = 20000,
-        time_limit: float | None = 60.0,
+        time_limit: float | None = None,
         on_failure: str = "zeros",
     ) -> None:
         if on_failure not in ("zeros", "raise"):
@@ -279,7 +265,7 @@ class TwoStepRanker(Ranker):
     ) -> list[tuple[QueryResult, int, object]]:
         """(result, site_id, target_label) across all complaint cases.
 
-        Sharding note: with ``ctx.n_workers >= 1`` the per-case ILP
+        Sharding note: with ``ctx.n_workers >= 2`` the per-case ILP
         enumerations run on the worker pool — they are deterministic pure
         solves over (already frozen) shared provenance — but the "opaque
         solver pick" among each case's tied optima stays on the driver

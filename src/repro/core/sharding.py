@@ -127,7 +127,6 @@ def execute_cases(
     executor: Executor,
     cases: Sequence[ComplaintCase],
     plans: Sequence[Plan],
-    provenance: str,
     n_workers: int,
 ) -> tuple[list[tuple[ComplaintCase, QueryResult]], ExecuteStats]:
     """Execute every case's query for one iteration, sharded and deduped.
@@ -137,18 +136,8 @@ def execute_cases(
     compiled provenance pool frozen on the executing thread — is shared
     by all cases over that plan.  The returned list is in the original
     case order, exactly like the serial loop's.
-
-    ``provenance="tree"`` is the golden path: nothing is deduped or
-    shared, each case re-executes serially.
     """
-    cache = ExecutionCache(executor, provenance=provenance)
-    if not cache.cacheable:
-        case_results = [
-            (case, cache.fetch(plan)) for case, plan in zip(cases, plans)
-        ]
-        stats = ExecuteStats(len(cases), len(cases), 0, len(cases))
-        return case_results, stats
-
+    cache = ExecutionCache(executor)
     fingerprints = [cache.fingerprint(plan) for plan in plans]
     distinct: dict[str, Plan] = {}
     for fingerprint, plan in zip(fingerprints, plans):

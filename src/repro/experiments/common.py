@@ -171,7 +171,6 @@ def run_method(
     ranker_kwargs: dict | None = None,
     reset_params: np.ndarray | None = None,
     cg_max_iter: int | None = None,
-    provenance: str = "compiled",
     n_workers: int | None = None,
 ):
     """Run one approach; optionally reset the shared model's params first.
@@ -196,7 +195,6 @@ def run_method(
         rng=seed,
         ranker_kwargs=ranker_kwargs or {},
         cg_max_iter=cg_max_iter,
-        provenance=provenance,
         n_workers=n_workers,
     )
     return debugger.run(max_removals=max_removals, k_per_iteration=k_per_iteration)

@@ -22,7 +22,8 @@ Two debug representations are supported:
 - ``provenance="tree"``: the original interpreted path — per-tuple
   :class:`~repro.relational.provenance.BoolExpr` objects built row by row.
   Kept verbatim as the golden reference; the compiled path is pinned to it
-  by equivalence tests and benchmarks.
+  by equivalence tests and benchmarks.  The Rain loop never selects it:
+  only ``execute(plan, debug=True, provenance="tree")`` reaches it.
 
 The concrete query result is recovered by evaluating each condition /
 polynomial under the current prediction assignment, which guarantees the
@@ -1057,18 +1058,13 @@ class ExecutionCache:
     :class:`~repro.relational.compile.CompiledProvenance` program over its
     own complaint roots.
 
-    Only the compiled representation is cacheable; ``provenance="tree"``
-    is the golden reference path and always re-executes per case.
-
     The cache is scoped to one iteration (model parameters change every
     iteration), so the driver constructs a fresh one per loop step and
     accumulates ``hits``/``misses`` for the iteration diagnostics.
     """
 
-    def __init__(self, executor: Executor, provenance: str = "compiled") -> None:
+    def __init__(self, executor: Executor) -> None:
         self.executor = executor
-        self.provenance = provenance
-        self.cacheable = provenance == "compiled"
         self._results: dict[str, QueryResult] = {}
         self.hits = 0
         self.misses = 0
@@ -1078,22 +1074,16 @@ class ExecutionCache:
 
     def fetch(self, plan: Plan, fingerprint: str | None = None) -> QueryResult:
         """The debug-mode result for ``plan``, executed at most once."""
-        if not self.cacheable:
-            self.misses += 1
-            return self.executor.execute(
-                plan, debug=True, provenance=self.provenance
-            )
         key = fingerprint if fingerprint is not None else plan_fingerprint(plan)
         cached = self._results.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        result = self.executor.execute(plan, debug=True, provenance=self.provenance)
-        if result.pool is not None:
-            # Prewarm the pool-wide tape on the executing thread so the
-            # per-case programs built later only read immutable arrays.
-            result.pool.ensure_frozen()
+        result = self.executor.execute(plan, debug=True)
+        # Prewarm the pool-wide tape on the executing thread so the
+        # per-case programs built later only read immutable arrays.
+        result.pool.ensure_frozen()
         self._results[key] = result
         return result
 

@@ -241,9 +241,7 @@ class RelaxedComplaintObjective:
         return q, self.model.prob_vjp(self.X_sites, pgrad_rows)
 
 
-def batched_case_objectives(
-    case_results: Sequence, engine: str = "auto"
-) -> list[RelaxedComplaintObjective]:
+def batched_case_objectives(case_results: Sequence) -> list[RelaxedComplaintObjective]:
     """One :class:`RelaxedComplaintObjective` per ``(case, result)`` pair.
 
     Construction stays on the calling thread: on compiled results the
@@ -252,7 +250,7 @@ def batched_case_objectives(
     over one immutable node-array snapshot.
     """
     return [
-        RelaxedComplaintObjective(result, case.complaints, engine=engine)
+        RelaxedComplaintObjective(result, case.complaints)
         for case, result in case_results
     ]
 

@@ -1,5 +1,9 @@
 """The RainDebugger train-rank-fix loop and ranker behaviours."""
 
+import itertools
+import types
+from functools import partialmethod
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,8 @@ from repro.core.rankers import (
 )
 from repro.errors import DebuggingError
 from repro.ml import LogisticRegression
-from repro.relational import Database, Relation
+from repro.relational import Database, Executor, Relation
+from repro.relational.sql import plan_sql
 
 
 @pytest.fixture()
@@ -311,18 +316,17 @@ class TestColumnarDrain:
     """The loop's columnar satisfied flag equals the tree-walking oracle."""
 
     @pytest.mark.parametrize(
-        "shape,method,provenance,expected",
+        "shape,method,expected",
         [
-            ("value", "holistic", "compiled", False),
-            ("vacuous", "loss", "compiled", True),
-            ("prediction", "loss", "compiled", None),
-            ("mixed", "loss", "compiled", None),
-            ("value", "holistic", "tree", False),
+            ("value", "holistic", False),
+            ("vacuous", "loss", True),
+            ("prediction", "loss", None),
+            ("mixed", "loss", None),
         ],
-        ids=["value", "vacuous", "prediction", "mixed", "tree"],
+        ids=["value", "vacuous", "prediction", "mixed"],
     )
     def test_flags_match_tree_oracle(
-        self, debug_setting, monkeypatch, shape, method, provenance, expected
+        self, debug_setting, monkeypatch, shape, method, expected
     ):
         db, model, X, y, corrupted, case = debug_setting
         prediction = ComplaintCase(case.query, [PredictionComplaint("Q", 0, 1)])
@@ -334,7 +338,7 @@ class TestColumnarDrain:
         }[shape]
         pairs = _drain_against_oracle(monkeypatch)
         report = RainDebugger(
-            db, "m", X, y, cases, method=method, rng=0, provenance=provenance,
+            db, "m", X, y, cases, method=method, rng=0,
         ).run(max_removals=15, k_per_iteration=5)
         assert len(pairs) == len(report.iterations) >= 1
         assert [columnar for columnar, _ in pairs] == [
@@ -345,3 +349,83 @@ class TestColumnarDrain:
         ]
         if expected is not None:
             assert all(oracle is expected for _, oracle in pairs)
+
+
+_TWOSTEP_BUDGET = {"ambiguity_cap": 2, "node_limit": 200, "time_limit": None}
+
+
+class TestTreeOracleLoop:
+    """Full loop on tree provenance (the executor's oracle) equals compiled."""
+
+    @pytest.mark.parametrize(
+        "method,ranker_kwargs",
+        [("holistic", {}), ("twostep", _TWOSTEP_BUDGET)],
+        ids=["holistic", "twostep"],
+    )
+    def test_removal_orders_match_compiled(
+        self, debug_setting, monkeypatch, method, ranker_kwargs
+    ):
+        db, model, X, y, corrupted, case = debug_setting
+        initial = model.get_params()
+
+        def run():
+            model.set_params(initial)
+            return RainDebugger(
+                db, "m", X, y, [case], method=method, rng=0,
+                ranker_kwargs=ranker_kwargs, n_workers=0,
+            ).run(max_removals=15, k_per_iteration=5)
+
+        compiled = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                Executor,
+                "execute",
+                partialmethod(Executor.execute, provenance="tree"),
+            )
+            plan = plan_sql(case.query, db)
+            assert not Executor(db).execute(plan, debug=True).compiled
+            tree = run()
+        assert tree.removal_order == compiled.removal_order
+        assert len(compiled.removal_order) == 15
+
+
+def _slow_clock(monkeypatch):
+    """Make every solver clock read advance 1,000 s."""
+    from repro.ilp import solver
+
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        solver,
+        "time",
+        types.SimpleNamespace(perf_counter=lambda: 1000.0 * next(ticks)),
+    )
+
+
+class TestNoWallClockBudget:
+    """Library defaults budget branch & bound in nodes, never in seconds."""
+
+    def test_auto_choice_ignores_slow_host(self, debug_setting, monkeypatch):
+        db, model, X, y, corrupted, case = debug_setting
+        point_case = ComplaintCase(case.query, [PredictionComplaint("Q", 0, 1)])
+        _slow_clock(monkeypatch)
+        debugger = RainDebugger(db, "m", X, y, [point_case], method="auto", rng=0)
+        assert debugger.choose_method() == "twostep"
+
+    def test_twostep_default_budget_ignores_slow_host(
+        self, debug_setting, monkeypatch
+    ):
+        db, model, X, y, corrupted, case = debug_setting
+        initial = model.get_params()
+
+        def run():
+            model.set_params(initial)
+            return RainDebugger(
+                db, "m", X, y, [case], method="twostep", rng=0
+            ).run(max_removals=10, k_per_iteration=5)
+
+        fast = run()
+        with monkeypatch.context() as patch:
+            _slow_clock(patch)
+            slow = run()
+        assert slow.removal_order == fast.removal_order
+        assert len(fast.removal_order) == 10

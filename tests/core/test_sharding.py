@@ -262,23 +262,13 @@ class TestExecutionCache:
         # The shared pool is frozen exactly once and reused.
         assert result_a.pool.frozen() is result_b.pool.frozen()
 
-    def test_tree_mode_never_caches(self, adult_setting):
-        executor = Executor(adult_setting.database)
-        plan = plan_sql(
-            "SELECT AVG(predict(*)) FROM adult GROUP BY gender",
-            adult_setting.database,
-        )
-        cache = ExecutionCache(executor, provenance="tree")
-        assert cache.fetch(plan) is not cache.fetch(plan)
-        assert cache.hits == 0 and cache.misses == 2
-
     def test_execute_cases_dedups_and_keeps_case_order(self, adult_setting):
         setting = adult_setting
         executor = Executor(setting.database)
         cases = [setting.gender_case, setting.age_case, setting.gender_case]
         plans = [plan_sql(case.query, setting.database) for case in cases]
         case_results, stats = execute_cases(
-            executor, cases, plans, "compiled", n_workers=2
+            executor, cases, plans, n_workers=2
         )
         assert [case for case, _ in case_results] == cases
         assert case_results[0][1] is case_results[2][1]
@@ -323,15 +313,6 @@ class TestShardHelpers:
             resolve_workers(None)
         with pytest.raises(DebuggingError):
             resolve_workers(-1)
-
-    def test_tree_provenance_pins_serial(self, adult_setting):
-        setting = adult_setting
-        debugger = RainDebugger(
-            setting.database, "income", setting.X_train, setting.y_corrupted,
-            [setting.gender_case], method="holistic", rng=0,
-            provenance="tree", n_workers=4,
-        )
-        assert debugger.n_workers == 0
 
     def test_run_sharded_ordered_merge(self):
         items = list(range(20))

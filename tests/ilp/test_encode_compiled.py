@@ -22,7 +22,9 @@ import pytest
 from repro.complaints import ComplaintCase, TupleComplaint, ValueComplaint
 from repro.core.rain import RainDebugger
 from repro.errors import ILPError
+from repro.experiments.ilp_encode import _program_signature as program_signature
 from repro.ilp import (
+    BinaryProgram,
     CompiledILPEncoder,
     TiresiasEncoder,
     enumerate_optima,
@@ -191,16 +193,19 @@ def complaints_for(rng, result, shape):
     return out
 
 
-def program_signature(program):
-    return (
-        program.n_vars,
-        tuple(sorted(program.objective.items())),
-        program.objective_constant,
-        tuple(
-            (constraint.sense, constraint.rhs, tuple(constraint.coeffs))
-            for constraint in program.constraints
-        ),
-    )
+def test_program_signature_sees_fixed_variables():
+    """Programs differing only in one pinned variable are not identical."""
+
+    def program(pinned):
+        built = BinaryProgram()
+        x, y = built.add_var("x"), built.add_var("y")
+        built.set_objective({x: 1.0, y: 1.0})
+        built.add_constraint({x: 1.0, y: 1.0}, ">=", 1.0)
+        built.fix(x, pinned)
+        return built
+
+    assert program_signature(program(1)) == program_signature(program(1))
+    assert program_signature(program(0)) != program_signature(program(1))
 
 
 def build_encoders(join_db, seed):
@@ -356,7 +361,6 @@ class TestTwoStepRemovalOrders:
                         "node_limit": NODE_LIMIT,
                         "time_limit": None,
                     },
-                    provenance="compiled",
                 )
                 report = debugger.run(max_removals=6, k_per_iteration=2)
                 return list(report.removal_order)
