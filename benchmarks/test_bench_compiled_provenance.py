@@ -19,8 +19,7 @@ DBLP n=400 / n_query=300 configuration): for both TwoStep and Holistic,
 
 The Rain loop itself only runs compiled provenance; the reference arm
 reaches the executor's tree oracle by routing every ``Executor.execute``
-call through ``provenance="tree"``, serially (``n_workers=0``) so the
-plan-dedup cache is never involved.
+call through ``provenance="tree"``, which never memoizes lineage.
 
 Fast tier: three train-rank-fix iterations per configuration.
 """
@@ -61,7 +60,6 @@ def _run(setting, initial_params, method, config, monkeypatch):
             k_per_iteration=10,
             seed=0,
             reset_params=initial_params,
-            n_workers=0 if config["tree"] else None,
         )
     iterations = max(1, len([r for r in report.iterations if r.removed]))
     timings = report.timings

@@ -10,8 +10,9 @@ project check fails if a registered knob is missing from README/docs.
 
 The registry is intentionally dependency-free (stdlib only) so the
 linter can import it without dragging in numpy; consumers keep their own
-validation and error types (:func:`repro.core.sharding.resolve_workers`
-parses and range-checks the raw string this module hands back).
+validation and error types, parsing and range-checking the raw string
+this module hands back.  No knob is registered at present: every runtime
+option is an explicit keyword argument.
 """
 
 from __future__ import annotations
@@ -101,17 +102,3 @@ def knob_table() -> str:
             f"| `{knob.owner}` | {knob.doc} |"
         )
     return "\n".join(rows)
-
-
-# -- the registry ------------------------------------------------------------
-# Declared centrally (not at the consumer) so registration happens at
-# import time regardless of which consumer is imported first, and so the
-# analyzer can enumerate the full set without importing the runtime.
-
-N_WORKERS = register(
-    "n_workers",
-    "REPRO_N_WORKERS",
-    "0",
-    "Worker-pool size for sharded multi-query serving; 0 = serial loop.",
-    "repro.core.sharding",
-)

@@ -17,8 +17,7 @@ occurred) in this repo's parallel-correctness history; see
   ``random.random``, argless ``default_rng()``) outside ``experiments/``
   instead of a threaded ``Generator``.
 - DET004 — attribute writes to shared (non-local) objects inside
-  callables handed to thread pools/``run_sharded`` without visible lock
-  protection.
+  callables handed to thread pools without visible lock protection.
 - KNOB001 — direct ``os.environ``/``os.getenv`` reads anywhere but the
   :mod:`repro.analysis.knobs` registry; plus a project check that every
   registered knob is documented in README/docs.
@@ -340,29 +339,15 @@ class Det004UnsyncedSharedWrite(Rule):
     )
 
     _SUBMIT_ATTRS = frozenset({"submit", "submit_train", "submit_execute"})
-    _SUBMIT_NAMES = frozenset({"run_sharded"})
 
     def check(self, node: ast.Call, ctx: FileContext) -> None:
-        target: ast.AST | None = None
-        if (
+        if not (
             isinstance(node.func, ast.Attribute)
             and node.func.attr in self._SUBMIT_ATTRS
             and node.args
         ):
-            target = node.args[0]
-        elif (
-            isinstance(node.func, ast.Name)
-            and node.func.id in self._SUBMIT_NAMES
-            and node.args
-        ) or (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in self._SUBMIT_NAMES
-            and node.args
-        ):
-            target = node.args[0]
-        if target is None:
             return
-        fn_node = self._resolve_callable(ctx, target)
+        fn_node = self._resolve_callable(ctx, node.args[0])
         if fn_node is None:
             return
         for write in self._unsynced_writes(fn_node):

@@ -5,14 +5,7 @@ Usage::
     python -m repro.cli list
     python -m repro.cli run fig3 --out results/
     python -m repro.cli run all --out results/
-    python -m repro.cli serve --workers 4 --check
     python -m repro.cli lint --strict
-
-``serve`` runs the sharded multi-query serving layer on the multi-case
-Adult workload (one complaint case per aggregate group of Q6/Q7): it
-reports the per-stage timing breakdown and the execute stage's plan-dedup
-stats, and ``--check`` re-runs serially to verify the determinism
-contract (sharded removal orders identical to the serial loop).
 
 Each experiment prints its result table (the same tables the benchmark
 suite writes under ``benchmarks/out/``) and optionally saves it.
@@ -37,7 +30,6 @@ from .experiments import (
     ilp_encode,
     queries,
     scenario_sweep,
-    serving,
     table3_auccr,
     thm_a1,
     thm_c1,
@@ -59,7 +51,6 @@ EXPERIMENTS: dict[str, tuple[Callable, str]] = {
     "fig11": (fig11_nn.run, "CNN vs logistic debugging (appendix D)"),
     "thm_a1": (thm_a1.run, "Theorem A.1 ambiguity validation"),
     "thm_c1": (thm_c1.run, "Theorem C.1 value-of-complaints validation"),
-    "serving": (serving.run, "Sharded multi-query serving: serial vs workers"),
     "ilp_encode": (ilp_encode.run, "Tree vs array-lowered ILP encode (fig6 joins)"),
     "sweep": (scenario_sweep.run, "ENRON/Adult corruption-rate encode/solve sweep"),
 }
@@ -76,22 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
     run.add_argument("--out", default=None, help="directory for result tables")
     run.add_argument("--seed", type=int, default=0)
-    serve = sub.add_parser(
-        "serve", help="sharded multi-query serving on the Adult workload"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None,
-        help="worker pool size (default: REPRO_N_WORKERS, else 0 = serial)",
-    )
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--n-train", type=int, default=300)
-    serve.add_argument("--n-query", type=int, default=2000)
-    serve.add_argument("--flip-fraction", type=float, default=0.5)
-    serve.add_argument("--max-removals", type=int, default=20)
-    serve.add_argument(
-        "--check", action="store_true",
-        help="re-run serially and verify the removal orders are identical",
-    )
     sub.add_parser(
         "lint",
         help="static determinism & invariant analysis; all arguments are "
@@ -100,54 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         add_help=False,
     )
     return parser
-
-
-def _serve(args) -> int:
-    from .core import RainDebugger
-
-    setting = serving.build_serving_setting(
-        args.flip_fraction,
-        n_train=args.n_train,
-        n_query=args.n_query,
-        seed=args.seed,
-    )
-    initial_params = setting.model.get_params()
-
-    def run_once(n_workers):
-        setting.model.set_params(initial_params)
-        debugger = RainDebugger(
-            setting.database,
-            "income",
-            setting.X_train,
-            setting.y_corrupted,
-            setting.cases,
-            method="holistic",
-            rng=args.seed,
-            n_workers=n_workers,
-        )
-        return debugger.run(max_removals=args.max_removals)
-
-    report = run_once(args.workers)
-    print(f"served {len(setting.cases)} complaint cases "
-          f"over {setting.n_distinct_plans} distinct plans")
-    for record in report.iterations:
-        cache = record.diagnostics.get("execute_cache")
-        if cache:
-            print(f"iteration {record.iteration}: "
-                  f"{cache['cache_misses']} executions for "
-                  f"{cache['n_cases']} cases "
-                  f"({cache['cache_hits']} cache hits)")
-    for label, total in sorted(report.timings.items()):
-        print(f"{label:>8}: {total:.3f}s")
-    print(f"removal order ({len(report.removal_order)}): "
-          f"{report.removal_order}")
-    if args.check:
-        serial = run_once(0)
-        if serial.removal_order != report.removal_order:
-            print("DETERMINISM CHECK FAILED: sharded != serial removal order")
-            return 1
-        print("determinism check passed: sharded == serial removal order")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -164,8 +91,6 @@ def main(argv: list[str] | None = None) -> int:
         for name, (_, description) in EXPERIMENTS.items():
             print(f"{name.ljust(width)}  {description}")
         return 0
-    if args.command == "serve":
-        return _serve(args)
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:

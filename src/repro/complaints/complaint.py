@@ -268,9 +268,10 @@ def all_satisfied_columnar(
     costs as much as executing the query again.  Here all complaint node
     ids over one result are evaluated in a single vectorized discrete
     forward pass (:class:`~repro.relational.compile.CompiledProvenance`
-    over the already-frozen pool), with the same per-complaint
-    satisfaction predicates applied to the root values.  Prediction
-    complaints and tree-mode results fall back to the per-complaint path.
+    over the already-frozen pool, fed the dense site-label array), with
+    the same per-complaint satisfaction predicates applied to the root
+    values.  Prediction complaints and tree-mode results fall back to the
+    per-complaint path.
 
     This is the Rain loop's satisfaction check; :func:`all_satisfied`
     stays as the test oracle it is pinned against.
@@ -294,7 +295,7 @@ def all_satisfied_columnar(
         program = CompiledProvenance(
             result.pool, np.asarray(nodes, dtype=np.int64)
         )
-        values = program.evaluate(result.assignment())
+        values = program.evaluate_labels(result.runtime.site_label_ids(result.pool))
         for value, complaint in zip(values, complaints):
             if not _value_satisfied(complaint, float(value)):
                 return False

@@ -9,13 +9,7 @@ from .metrics import (
 )
 from .interventions import RelabelDebugger
 from .rain import DebugReport, IterationRecord, RainDebugger
-from .sharding import (
-    ExecuteStats,
-    execute_cases,
-    resolve_workers,
-    run_sharded,
-    spawn_generators,
-)
+from .sharding import spawn_generators
 from .rankers import (
     HolisticRanker,
     InfLossRanker,
@@ -37,10 +31,6 @@ __all__ = [
     "IterationRecord",
     "RainDebugger",
     "RelabelDebugger",
-    "ExecuteStats",
-    "execute_cases",
-    "resolve_workers",
-    "run_sharded",
     "spawn_generators",
     "HolisticRanker",
     "InfLossRanker",

@@ -6,9 +6,13 @@ queries sharing the model), :class:`RainDebugger` iterates:
 
 1. **train** — (re)fit the model on the active training records,
    warm-started from the previous parameters;
-2. **execute** — rerun every complained-about query in debug mode,
-   capturing compiled provenance (one node-array pool per result, which
-   feeds both TwoStep's ILP and Holistic's relaxed objective);
+2. **execute** — bring every complained-about query's debug lineage up
+   to date.  The lineage (one compiled node-array pool per plan, which
+   feeds both TwoStep's ILP and Holistic's relaxed objective) does not
+   depend on the model, so the executor builds it once per plan and each
+   iteration re-labels it: one ``model.predict`` per run of inference
+   sites and one evaluation of the output (the paper's §5.1 instead
+   reruns the query in debug mode, since its DBMS is a black box);
 3. **rank** — score the active training records with the configured
    approach (Loss / InfLoss / TwoStep / Holistic);
 4. **fix** — delete the top-k records and repeat.
@@ -36,15 +40,6 @@ complaint nodes over one compiled result are evaluated in one vectorized
 pass instead of materializing each complained-about cell's provenance
 tree.  The flag only steers control flow under ``stop_when_satisfied``;
 it never feeds the ranking.
-
-Multi-query serving: with ``n_workers >= 1`` (or ``REPRO_N_WORKERS`` set)
-the execute stage dedupes executions by plan fingerprint — each distinct
-query runs once per iteration and its compiled provenance pool is frozen
-once and shared across all cases over that plan — and shard-aware rankers
-fan per-case encode work out to a thread pool
-(:mod:`~repro.core.sharding`).  Worker count never changes removal
-orders: per-case results merge in case order and the run RNG is only
-consumed on the driver thread in case order.
 """
 
 from __future__ import annotations
@@ -71,7 +66,6 @@ from ..relational.schema import Database
 from ..relational.sql import plan_sql
 from ..utils import Stopwatch, argsort_desc, as_rng
 from .rankers import IterationContext, WarmStartState, make_ranker
-from .sharding import execute_cases, resolve_workers
 
 
 @dataclass
@@ -137,7 +131,6 @@ class RainDebugger:
         cg_max_iter: int | None = None,
         cg_tol: float = 1e-8,
         warm_start_cg: bool = True,
-        n_workers: int | None = None,
     ) -> None:
         if not cases and method in ("auto", "twostep", "holistic"):
             raise DebuggingError(
@@ -164,9 +157,6 @@ class RainDebugger:
         self.cg_max_iter = cg_max_iter
         self.cg_tol = float(cg_tol)
         self.warm_start_cg = bool(warm_start_cg)
-        # Sharded serving: 0 = serial execution, >= 1 = the worker-pool
-        # path (None defers to REPRO_N_WORKERS).
-        self.n_workers = resolve_workers(n_workers)
         # Per-sample gradients survive across iterations while θ* is
         # unchanged; top-k deletions only slice rows out of the cached matrix.
         self._grad_cache = PerSampleGradCache()
@@ -244,7 +234,7 @@ class RainDebugger:
                 self._train_stage(X_active, y_active)
 
             with watch.time("execute"):
-                case_results, execute_stats = self._execute_stage()
+                case_results, lineage = self._execute_stage()
 
             satisfied = bool(case_results) and all_satisfied_columnar(case_results)
             if self.stop_when_satisfied and satisfied:
@@ -257,7 +247,7 @@ class RainDebugger:
                 break
 
             context = self._make_context(
-                X_active, y_active, active, case_results, watch, warm, execute_stats
+                X_active, y_active, active, case_results, watch, warm, lineage
             )
             scores = np.asarray(ranker.scores(context), dtype=np.float64)
             if scores.shape != (active.shape[0],):
@@ -309,21 +299,20 @@ class RainDebugger:
         )
 
     def _execute_stage(self):
-        """One execute stage: every case's debug result, plus dedup stats."""
-        if self.n_workers >= 1:
-            # Sharded serving: one execution per distinct plan fingerprint,
-            # shared across its cases; distinct plans run on the worker pool.
-            return execute_cases(
-                self.executor, self.cases, self._plans, self.n_workers
-            )
+        """Every case's debug result, plus this stage's lineage reuse counts."""
+        hits, misses = self.executor.lineage_hits, self.executor.lineage_misses
         case_results: list[tuple[ComplaintCase, QueryResult]] = [
             (case, self.executor.execute(plan, debug=True))
             for case, plan in zip(self.cases, self._plans)
         ]
-        return case_results, None
+        lineage = {
+            "hits": self.executor.lineage_hits - hits,
+            "misses": self.executor.lineage_misses - misses,
+        }
+        return case_results, lineage
 
     def _make_context(
-        self, X_active, y_active, active, case_results, watch, warm, execute_stats
+        self, X_active, y_active, active, case_results, watch, warm, lineage
     ) -> IterationContext:
         context = IterationContext(
             model=self.model,
@@ -338,10 +327,8 @@ class RainDebugger:
             rng=self.rng,
             watch=watch,
             warm_start=warm,
-            n_workers=self.n_workers,
         )
-        if execute_stats is not None:
-            context.diagnostics["execute_cache"] = execute_stats.as_dict()
+        context.diagnostics["lineage"] = lineage
         return context
 
     def _select_top(

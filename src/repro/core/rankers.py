@@ -34,7 +34,6 @@ from ..influence.functions import InfluenceAnalyzer, q_grad_for_target_predictio
 from ..relational.executor import QueryResult
 from ..relaxation.objective import batched_case_objectives, batched_q_and_grads
 from ..utils import Stopwatch
-from .sharding import run_sharded
 
 
 @dataclass
@@ -73,14 +72,7 @@ class WarmStartState:
 
 @dataclass
 class IterationContext:
-    """Everything a ranker may need for one train-rank-fix iteration.
-
-    ``n_workers`` is the serving layer's worker-pool size: with ``>= 2``
-    shard-aware rankers fan per-case work out to threads, otherwise the
-    same per-case calls run serially in case order.  Worker count never
-    changes scores — per-case results merge in case order and all RNG
-    consumption stays on the driver thread in case order.
-    """
+    """Everything a ranker may need for one train-rank-fix iteration."""
 
     model: object
     X_active: np.ndarray
@@ -91,7 +83,6 @@ class IterationContext:
     watch: Stopwatch
     diagnostics: dict = field(default_factory=dict)
     warm_start: WarmStartState | None = None
-    n_workers: int = 0
 
 
 class Ranker:
@@ -163,10 +154,8 @@ class HolisticRanker(Ranker):
     and its gradient drives one scalar influence solve — the paper's
     formulation, also for the multi-query runs of Section 6.5.
 
-    Cases sharing a query result share one probability-matrix evaluation,
-    and with ``n_workers >= 2`` the per-case relaxation sweeps fan out to
-    the worker pool; the gradients are summed in case order, so every
-    worker count produces identical scores.
+    Cases over one plan share one probability-matrix evaluation; the
+    per-case gradients are summed in case order.
     """
 
     name = "holistic"
@@ -174,7 +163,7 @@ class HolisticRanker(Ranker):
     def scores(self, ctx: IterationContext) -> np.ndarray:
         with ctx.watch.time("encode"):
             q_values, q_grads = batched_q_and_grads(
-                batched_case_objectives(ctx.case_results), n_workers=ctx.n_workers
+                batched_case_objectives(ctx.case_results)
             )
             q_total = 0.0
             for q_value in q_values:
@@ -265,17 +254,12 @@ class TwoStepRanker(Ranker):
     ) -> list[tuple[QueryResult, int, object]]:
         """(result, site_id, target_label) across all complaint cases.
 
-        Sharding note: with ``ctx.n_workers >= 2`` the per-case ILP
-        enumerations run on the worker pool — they are deterministic pure
-        solves over (already frozen) shared provenance — but the "opaque
-        solver pick" among each case's tied optima stays on the driver
-        thread, consuming ``ctx.rng`` strictly in case order.  The picked
-        solutions, and therefore the marked sites, are identical at every
-        worker count.
+        The "opaque solver pick" among each case's tied optima consumes
+        ``ctx.rng`` strictly in case order.
         """
-        enumerations = run_sharded(
-            self._enumerate_case, list(ctx.case_results), ctx.n_workers
-        )
+        enumerations = [
+            self._enumerate_case(case_result) for case_result in ctx.case_results
+        ]
         marked: list[tuple[QueryResult, int, object]] = []
         total_ambiguity = 1
         for (case, result), (direct_marks, direct_sites, encoder, solutions) in zip(

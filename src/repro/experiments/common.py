@@ -171,15 +171,12 @@ def run_method(
     ranker_kwargs: dict | None = None,
     reset_params: np.ndarray | None = None,
     cg_max_iter: int | None = None,
-    n_workers: int | None = None,
 ):
     """Run one approach; optionally reset the shared model's params first.
 
     The model object inside the database is shared across approaches within
     an experiment, so each run restores the initial fitted parameters before
     its own train-rank-fix loop (warm starts then proceed from there).
-    ``n_workers`` feeds the sharded serving layer (``None`` defers to
-    ``REPRO_N_WORKERS``; worker count never changes removal orders).
     """
     model = setting_database.model(model_name)
     if reset_params is not None:
@@ -195,7 +192,6 @@ def run_method(
         rng=seed,
         ranker_kwargs=ranker_kwargs or {},
         cg_max_iter=cg_max_iter,
-        n_workers=n_workers,
     )
     return debugger.run(max_removals=max_removals, k_per_iteration=k_per_iteration)
 
@@ -214,7 +210,6 @@ def compare_methods(
     damping: float = 1e-4,
     ranker_kwargs_by_method: dict | None = None,
     cg_max_iter: int | None = None,
-    n_workers: int | None = None,
 ) -> dict[str, dict]:
     """Run several approaches on one setting; returns per-method summaries."""
     ranker_kwargs_by_method = ranker_kwargs_by_method or {}
@@ -238,7 +233,6 @@ def compare_methods(
             ranker_kwargs=ranker_kwargs_by_method.get(method),
             reset_params=initial_params,
             cg_max_iter=cg_max_iter,
-            n_workers=n_workers,
         )
         curve = recall_curve(report.removal_order, corrupted_indices)
         out[method] = {

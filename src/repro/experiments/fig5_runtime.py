@@ -33,9 +33,7 @@ def run(
     n_query: int = 300,
     iterations: int = 3,
     seed: int = 0,
-    n_workers: int | None = None,
 ) -> ExperimentResult:
-    """``n_workers`` feeds the serving layer unchanged."""
     setting = build_dblp_setting(0.5, n_train=n_train, n_query=n_query, seed=seed)
     initial_params = setting.model.get_params()
     result = ExperimentResult("fig5_runtime")
@@ -51,7 +49,6 @@ def run(
             k_per_iteration=10,
             seed=seed,
             reset_params=initial_params,
-            n_workers=n_workers,
         )
         n_iters = max(1, len([r for r in report.iterations if r.removed]))
         timings = report.timings

@@ -447,7 +447,7 @@ class CompiledILPEncoder(TiresiasEncoder):
         if not getattr(result, "compiled", False):
             raise ILPError("CompiledILPEncoder needs a compiled-provenance result")
         self.pool = result.pool
-        f = self.pool.ensure_frozen()
+        f = self.pool.frozen()
         self._f = f
         structure = f.bool_structure()
         self._rep = structure.rep

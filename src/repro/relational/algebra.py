@@ -112,9 +112,9 @@ def plan_fingerprint(plan: Plan) -> str:
     Two plans share a fingerprint exactly when they are structurally
     identical (same node tree, same expressions, same aliases), even if
     they are distinct objects — e.g. the same SQL text parsed twice.  The
-    serving layer keys its per-iteration compiled-provenance cache on this,
-    so complaint cases over the same query share one execution and one
-    frozen :class:`~repro.relational.compile.NodePool` per iteration.
+    executor keys its lineage memo on this, so complaint cases over the
+    same query share one :class:`~repro.relational.compile.NodePool` for
+    the whole session.
 
     Expressions contribute through their ``repr``, which every
     :class:`~repro.relational.expressions.Expr` subclass defines to spell

@@ -677,21 +677,6 @@ class NodePool:
             self._frozen = _FrozenPool(self)
         return self._frozen
 
-    def ensure_frozen(self) -> "_FrozenPool":
-        """Prewarm and return the frozen view for cross-case sharing.
-
-        The sharded serving layer calls this once per execution before
-        fanning complaint cases out to workers: the frozen snapshot (and
-        its pool-wide level tape) is built exactly once on the driver
-        thread, after which concurrent readers — one
-        :class:`CompiledProvenance` program per case sharing this pool —
-        only touch immutable arrays.  Appending to the pool after
-        prewarming invalidates the snapshot, so callers must finish
-        building all case programs' nodes first (compiled query results
-        already contain every complaint-addressable node).
-        """
-        return self.frozen()
-
 
 def _as_num(expr):
     return prov.BoolAsNum(expr) if isinstance(expr, prov.BoolExpr) else expr

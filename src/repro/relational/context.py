@@ -13,7 +13,10 @@ per tuple).
 registry, the inference-site registry, and the per-site prediction cache.
 All caches are columnar — predictions, site features, and site labels live
 in dense arrays keyed by base row / site id so that batch operations never
-loop over tuples.
+loop over tuples.  It also records which relation and model objects an
+execution read, so a memoized lineage can tell when its inputs were
+replaced, and :meth:`QueryRuntime.relabeled` re-labels a finished
+execution's sites under the current models without re-executing it.
 """
 
 from __future__ import annotations
@@ -56,9 +59,18 @@ class QueryRuntime:
         self._feat_cat: np.ndarray | None = None
         self._labels = np.empty(0, dtype=object)  # site -> predicted label
         self._labels_known = np.zeros(0, dtype=bool)
+        # ("relation" | "model", name) -> the object this execution read.
+        self.reads: dict[tuple[str, str], object] = {}
+
+    def relation(self, relation_name: str):
+        relation = self.database.relation(relation_name)
+        self.reads[("relation", relation_name)] = relation
+        return relation
 
     def model(self, model_name: str):
-        return self.database.model(model_name)
+        model = self.database.model(model_name)
+        self.reads[("model", model_name)] = model
+        return model
 
     def model_classes(self, model_name: str) -> list:
         model = self.model(model_name)
@@ -276,6 +288,40 @@ class QueryRuntime:
     def current_assignment(self) -> dict[int, object]:
         """``site_id -> predicted class`` under the current model."""
         return dict(enumerate(self.site_labels()))
+
+    def relabeled(self) -> "QueryRuntime":
+        """A runtime over this one's lineage, labelled by the current models.
+
+        The copy shares the site registry, the node pool and the recorded
+        site features read-only, and gets its own prediction and site-label
+        stores: one ``model.predict`` per run of sites (the rows one
+        ``intern_sites`` call added), over the features recorded then.
+        Those are the rows and the feature order a fresh execution would
+        predict, so the labels equal a re-execution's.
+        """
+        n = len(self.sites)
+        features = self.features_for_sites(np.arange(n))
+        runtime = QueryRuntime(self.database, debug=self.debug)
+        runtime.sites = self.sites
+        runtime.pool = self.pool
+        runtime._feat_rows = np.arange(n, dtype=np.int64)
+        runtime._feat_blocks = [features]
+        runtime._feat_total = n
+        runtime._feat_cat = features
+        runtime._labels = np.empty(n, dtype=object)
+        runtime._labels_known = np.ones(n, dtype=bool)
+        for start, model_name, relation_name, rows in self.sites.runs():
+            stop = start + rows.shape[0]
+            predicted = np.asarray(
+                runtime.model(model_name).predict(features[start:stop]), dtype=object
+            )
+            runtime._labels[start:stop] = predicted
+            known, labels = runtime._pred_store(
+                model_name, relation_name, int(rows.max()) + 1
+            )
+            known[rows] = True
+            labels[rows] = predicted
+        return runtime
 
 
 class TupleBatch:

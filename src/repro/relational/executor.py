@@ -28,6 +28,17 @@ Two debug representations are supported:
 The concrete query result is recovered by evaluating each condition /
 polynomial under the current prediction assignment, which guarantees the
 concrete and symbolic views never diverge.
+
+Compiled lineage is built once per plan and executor.  It is symbolic in
+the predictions, and training-set edits never touch the queried
+relations, so the pool, the sites and the candidate tuples or groups
+depend only on (plan, data).  :meth:`Executor.execute` memoizes them per
+plan fingerprint; a later call re-labels the sites under the current
+models and evaluates the cached output program.  An entry is rebuilt
+when a relation or model it read was replaced (compared by identity, plus
+the model's classes).  A plan that projects a prediction into an output
+column is executed afresh each call, since that column holds concrete
+values.
 """
 
 from __future__ import annotations
@@ -261,11 +272,104 @@ class QueryResult:
             )
 
 
+class _Lineage:
+    """One plan's debug lineage, which does not depend on the model.
+
+    Everything here is a function of (plan, data): the node pool, the
+    inference sites with their recorded features, the candidate batch
+    (SP/SPJ) or the candidate groups (aggregates), and the compiled
+    program over the output roots.  Only the site labels change when the
+    model is refit, so a later execution re-labels this lineage instead
+    of rebuilding it.
+    """
+
+    def __init__(
+        self,
+        plan: Plan,
+        runtime: QueryRuntime,
+        roots: np.ndarray,
+        batch: TupleBatch | None = None,
+        keys: list[tuple] | None = None,
+        key_names: list[str] | None = None,
+        groups: list[GroupInfo] | None = None,
+    ) -> None:
+        self.plan = plan
+        self.runtime = runtime
+        self.program = CompiledProvenance(runtime.pool, roots)
+        self.batch = batch
+        self.keys = keys
+        self.key_names = key_names
+        self.groups = groups
+        self.n_nodes = len(runtime.pool)
+        self.n_sites = len(runtime.sites)
+        self.reads = dict(runtime.reads)
+        self.classes = {
+            name: _classes_of(model)
+            for (kind, name), model in self.reads.items()
+            if kind == "model"
+        }
+
+    def is_current(self, database: Database) -> bool:
+        """Whether every relation and model it read is still registered."""
+        for (kind, name), obj in self.reads.items():
+            if kind == "relation":
+                if not database.has_relation(name) or database.relation(name) is not obj:
+                    return False
+            elif (
+                not database.has_model(name)
+                or database.model(name) is not obj
+                or _classes_of(obj) != self.classes[name]
+            ):
+                return False
+        return True
+
+    def check_unchanged(self) -> None:
+        """Raise if a consumer appended to the shared pool or sites."""
+        n_nodes, n_sites = len(self.runtime.pool), len(self.runtime.sites)
+        if (n_nodes, n_sites) != (self.n_nodes, self.n_sites):
+            raise ProvenanceError(
+                f"memoized lineage was modified after execution: pool "
+                f"{self.n_nodes} -> {n_nodes} nodes, "
+                f"{self.n_sites} -> {n_sites} sites"
+            )
+
+
+def _classes_of(model) -> list:
+    return list(getattr(model, "classes", []))
+
+
+def _projects_predictions(plan: Plan) -> bool:
+    """Whether a projection below or at the root evaluates a prediction.
+
+    Such a column holds concrete predicted values, not lineage, so the
+    plan is executed afresh instead of re-labelled.
+    """
+    if isinstance(plan, Project):
+        if any(expr.depends_on_model() for expr, _ in plan.items):
+            return True
+        return _projects_predictions(plan.child)
+    if isinstance(plan, Join):
+        return _projects_predictions(plan.left) or _projects_predictions(plan.right)
+    if isinstance(plan, (Filter, Aggregate)):
+        return _projects_predictions(plan.child)
+    return False
+
+
 class Executor:
-    """Evaluates plans against a :class:`Database`."""
+    """Evaluates plans against a :class:`Database`.
+
+    Compiled debug executions are memoized per plan fingerprint for the
+    executor's lifetime: the first call builds the plan's lineage, and
+    every later call re-labels it under the current models (one
+    ``model.predict`` per run of sites and one evaluation of the output
+    roots).  ``lineage_hits``/``lineage_misses`` count the two cases.
+    """
 
     def __init__(self, database: Database) -> None:
         self.database = database
+        self._lineages: dict[str, _Lineage] = {}
+        self.lineage_hits = 0
+        self.lineage_misses = 0
 
     def execute(
         self, plan: Plan, debug: bool = False, provenance: str = "compiled"
@@ -274,30 +378,92 @@ class Executor:
 
         ``provenance`` selects the debug representation: ``"compiled"``
         (columnar node arrays, the default) or ``"tree"`` (the interpreted
-        golden-reference path).
+        golden-reference path).  Every call returns a new result with its
+        own labels; compiled debug results of one plan share its lineage
+        (pool, sites, candidate batch, groups) read-only.
+
+        Raises :class:`~repro.errors.ProvenanceError` when a memoized
+        lineage's pool or site registry grew since it was built.
         """
+        if debug and provenance == "compiled":
+            return self._execute_debug(plan)
         runtime = QueryRuntime(self.database, debug=debug, provenance=provenance)
         if isinstance(plan, Aggregate):
             if runtime.provenance == "tree":
                 return self._execute_aggregate_reference(plan, runtime)
-            return self._execute_aggregate_columnar(plan, runtime)
+            batch, keys, key_names, member_rows, _, offsets = self._group_columnar(
+                plan, runtime
+            )
+            return self._finish_aggregate_concrete(
+                plan, runtime, batch, keys, key_names, member_rows, offsets
+            )
         batch = self._eval(plan, runtime)
         return self._finalize_spj(plan, batch, runtime)
+
+    # -- compiled debug: lineage memo -------------------------------------------
+
+    def _execute_debug(self, plan: Plan) -> QueryResult:
+        key = plan_fingerprint(plan)
+        lineage = self._lineages.get(key)
+        if lineage is not None and lineage.is_current(self.database):
+            lineage.check_unchanged()
+            self.lineage_hits += 1
+            return self._labelled_result(lineage, lineage.runtime.relabeled())
+        self.lineage_misses += 1
+        runtime = QueryRuntime(self.database, debug=True)
+        if isinstance(plan, Aggregate):
+            lineage = self._aggregate_lineage(
+                plan, runtime, *self._group_columnar(plan, runtime)
+            )
+        else:
+            batch = self._eval(plan, runtime)
+            lineage = _Lineage(plan, runtime, batch.cond_nodes, batch=batch)
+        if not _projects_predictions(plan):
+            self._lineages[key] = lineage
+        return self._labelled_result(lineage, runtime)
+
+    def _labelled_result(self, lineage: _Lineage, runtime: QueryRuntime) -> QueryResult:
+        """The concrete result of ``lineage`` under ``runtime``'s labels."""
+        values = lineage.program.evaluate_labels(runtime.site_label_ids(runtime.pool))
+        if lineage.groups is None:
+            alive = np.flatnonzero(values >= 0.5)
+            return QueryResult(
+                relation=_result_relation(lineage.batch.take(alive)),
+                runtime=runtime,
+                candidate_batch=lineage.batch,
+                candidate_cond_nodes=lineage.batch.cond_nodes,
+                output_to_candidate=alive.tolist(),
+                is_aggregate=False,
+                pool=runtime.pool,
+            )
+        plan = lineage.plan
+        n_groups = len(lineage.keys)
+        exists = values[:n_groups] >= 0.5
+        if not plan.group_by:
+            exists[:] = True  # a global aggregate row always exists
+        out_rows = np.flatnonzero(exists)
+        out_cells: dict[str, list] = {}
+        for position, spec in enumerate(plan.aggregates):
+            cells = values[(1 + position) * n_groups : (2 + position) * n_groups]
+            out_cells[spec.name] = [float(cells[g]) for g in out_rows]
+        return self._build_output(
+            plan,
+            lineage.key_names,
+            [lineage.keys[g] for g in out_rows],
+            out_cells,
+            runtime,
+            lineage.groups,
+            out_rows.tolist(),
+        )
 
     # -- SP / SPJ -------------------------------------------------------------
 
     def _finalize_spj(
         self, plan: Plan, batch: TupleBatch, runtime: QueryRuntime
     ) -> QueryResult:
+        """Concrete or tree-provenance SP/SPJ result."""
         conditions = None
-        cond_nodes = None
-        if runtime.debug and batch.cond_nodes is not None:
-            cond_nodes = batch.cond_nodes
-            label_ids = runtime.site_label_ids(runtime.pool)
-            program = CompiledProvenance(runtime.pool, cond_nodes)
-            alive_mask = program.evaluate_labels(label_ids) >= 0.5
-            alive = np.flatnonzero(alive_mask).tolist()
-        elif runtime.debug:
+        if runtime.debug:
             assignment = runtime.current_assignment()
             conditions = [batch.condition(i) for i in range(len(batch))]
             alive = [
@@ -305,21 +471,13 @@ class Executor:
             ]
         else:
             alive = list(range(len(batch)))
-        concrete = batch.take(np.asarray(alive, dtype=np.int64))
-        relation = Relation(
-            "result",
-            concrete.columns if concrete.columns else {"__empty__": np.zeros(0)},
-            row_ids=np.arange(len(concrete)),
-        )
         return QueryResult(
-            relation=relation,
+            relation=_result_relation(batch.take(np.asarray(alive, dtype=np.int64))),
             runtime=runtime,
             candidate_batch=batch if runtime.debug else None,
             candidate_conditions=conditions,
-            candidate_cond_nodes=cond_nodes,
             output_to_candidate=alive if runtime.debug else None,
             is_aggregate=False,
-            pool=runtime.pool,
         )
 
     # -- plan dispatch ---------------------------------------------------------
@@ -338,7 +496,7 @@ class Executor:
         raise QueryError(f"unknown plan node {type(plan).__name__}")
 
     def _eval_scan(self, plan: Scan, runtime: QueryRuntime) -> TupleBatch:
-        relation = self.database.relation(plan.relation_name)
+        relation = runtime.relation(plan.relation_name)
         return TupleBatch.from_relation(
             relation, plan.effective_alias, debug=runtime.debug, pool=runtime.pool
         )
@@ -451,9 +609,14 @@ class Executor:
 
     # -- aggregation: columnar (compiled debug + concrete) ----------------------
 
-    def _execute_aggregate_columnar(
-        self, plan: Aggregate, runtime: QueryRuntime
-    ) -> QueryResult:
+    def _group_columnar(self, plan: Aggregate, runtime: QueryRuntime) -> tuple:
+        """Candidate groups of ``plan`` in output order.
+
+        Returns ``(batch, keys, key_names, member_rows, member_conds,
+        offsets)``: group ``g``'s members are
+        ``member_rows[offsets[g]:offsets[g + 1]]`` with their membership
+        conditions in ``member_conds`` (``None`` outside debug mode).
+        """
         batch = self._eval(plan.child, runtime)
         n_rows = len(batch)
         pool = runtime.pool
@@ -501,11 +664,7 @@ class Executor:
             )
             entry_class = table[inverse]
             entry_rows = np.arange(n_rows, dtype=np.int64)
-            entry_conds = (
-                batch.cond_nodes
-                if debug
-                else None
-            )
+            entry_conds = None
             entry_codes = det_codes * len(classes) + entry_class
         else:
             entry_rows = np.arange(n_rows, dtype=np.int64)
@@ -566,28 +725,9 @@ class Executor:
             [model_keys[0][0]] if model_keys else []
         )
 
-        if debug:
-            return self._finish_aggregate_compiled(
-                plan,
-                runtime,
-                batch,
-                keys,
-                key_names,
-                member_rows,
-                member_conds,
-                sorted_offsets,
-            )
-        return self._finish_aggregate_concrete(
-            plan,
-            runtime,
-            batch,
-            keys,
-            key_names,
-            member_rows,
-            sorted_offsets,
-        )
+        return batch, keys, key_names, member_rows, member_conds, sorted_offsets
 
-    def _finish_aggregate_compiled(
+    def _aggregate_lineage(
         self,
         plan: Aggregate,
         runtime: QueryRuntime,
@@ -597,7 +737,7 @@ class Executor:
         member_rows: np.ndarray,
         member_conds: np.ndarray,
         offsets: np.ndarray,
-    ) -> QueryResult:
+    ) -> _Lineage:
         pool = runtime.pool
         n_groups = len(keys)
         condition_nodes = pool.or_segments(member_conds, offsets)
@@ -636,29 +776,12 @@ class Executor:
             )
             for g in range(n_groups)
         ]
-
-        # One vectorized evaluation recovers existence and every cell value.
-        label_ids = runtime.site_label_ids(pool)
+        # One program recovers existence and every cell value per labelling.
         roots = np.concatenate(
             [condition_nodes] + [cell_nodes[spec.name] for spec in plan.aggregates]
         )
-        values = CompiledProvenance(pool, roots).evaluate_labels(label_ids)
-        exists = values[:n_groups] >= 0.5
-        if not plan.group_by:
-            exists[:] = True
-        out_rows = np.flatnonzero(exists)
-        out_cells: dict[str, list] = {}
-        for position, spec in enumerate(plan.aggregates):
-            cells = values[(1 + position) * n_groups : (2 + position) * n_groups]
-            out_cells[spec.name] = [float(cells[g]) for g in out_rows]
-        return self._build_output(
-            plan,
-            key_names,
-            [keys[g] for g in out_rows],
-            out_cells,
-            runtime,
-            group_infos,
-            out_rows.tolist(),
+        return _Lineage(
+            plan, runtime, roots, keys=keys, key_names=key_names, groups=group_infos
         )
 
     def _finish_aggregate_concrete(
@@ -832,6 +955,14 @@ def _aggregate_polynomial(
         return total
     count = prov.LinearSum([(1.0, cond) for _, cond in members])
     return prov.DivExpr(total, count)
+
+
+def _result_relation(concrete: TupleBatch) -> Relation:
+    return Relation(
+        "result",
+        concrete.columns if concrete.columns else {"__empty__": np.zeros(0)},
+        row_ids=np.arange(len(concrete)),
+    )
 
 
 def _key_token_value(value):
@@ -1043,49 +1174,3 @@ def _hashable(value):
     if hasattr(value, "item"):
         return value.item()
     return value
-
-
-class ExecutionCache:
-    """Per-iteration debug-execution cache keyed by plan fingerprint.
-
-    The serving layer executes each *distinct* plan once per train-rank-fix
-    iteration and shares the resulting :class:`QueryResult` — including its
-    frozen compiled :class:`~repro.relational.compile.NodePool` — across
-    every complaint case over that plan.  Sharing is semantically
-    transparent: a compiled debug result is a pure function of
-    (plan, data, model parameters), complaint-side consumers only *read*
-    node ids out of the pool, and each case still builds its own
-    :class:`~repro.relational.compile.CompiledProvenance` program over its
-    own complaint roots.
-
-    The cache is scoped to one iteration (model parameters change every
-    iteration), so the driver constructs a fresh one per loop step and
-    accumulates ``hits``/``misses`` for the iteration diagnostics.
-    """
-
-    def __init__(self, executor: Executor) -> None:
-        self.executor = executor
-        self._results: dict[str, QueryResult] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def fingerprint(self, plan: Plan) -> str:
-        return plan_fingerprint(plan)
-
-    def fetch(self, plan: Plan, fingerprint: str | None = None) -> QueryResult:
-        """The debug-mode result for ``plan``, executed at most once."""
-        key = fingerprint if fingerprint is not None else plan_fingerprint(plan)
-        cached = self._results.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        result = self.executor.execute(plan, debug=True)
-        # Prewarm the pool-wide tape on the executing thread so the
-        # per-case programs built later only read immutable arrays.
-        result.pool.ensure_frozen()
-        self._results[key] = result
-        return result
-
-    def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}

@@ -230,8 +230,8 @@ class RelaxedComplaintObjective:
         """``(q(θ), ∇_θ q(θ))`` in one relaxation sweep.
 
         ``P_rows`` optionally supplies precomputed site probabilities.
-        Cases sharing one debug result see identical sites, so the serving
-        layer computes the matrix once per distinct query result and
+        Cases over one plan see identical sites, so
+        :func:`batched_q_and_grads` computes the matrix once per plan and
         passes it to every case — the values are exactly what
         :meth:`probabilities` would return, so this is a pure dedup.
         """
@@ -244,10 +244,9 @@ class RelaxedComplaintObjective:
 def batched_case_objectives(case_results: Sequence) -> list[RelaxedComplaintObjective]:
     """One :class:`RelaxedComplaintObjective` per ``(case, result)`` pair.
 
-    Construction stays on the calling thread: on compiled results the
-    complaint roots are *looked up* in the shared (already frozen) pool,
-    never appended, so cases sharing a query result build their programs
-    over one immutable node-array snapshot.
+    On compiled results the complaint roots are *looked up* in the pool,
+    never appended, so cases over one plan build their programs over one
+    node-array snapshot.
     """
     return [
         RelaxedComplaintObjective(result, case.complaints)
@@ -257,36 +256,23 @@ def batched_case_objectives(case_results: Sequence) -> list[RelaxedComplaintObje
 
 def batched_q_and_grads(
     objectives: Sequence[RelaxedComplaintObjective],
-    n_workers: int = 0,
 ) -> tuple[list[float], list[np.ndarray]]:
-    """``(q, ∇_θ q)`` for every objective, sharded across the worker pool.
+    """``(q, ∇_θ q)`` for every objective, in objective order.
 
-    Objectives sharing a query result share its inference sites, so the
-    probability matrix is computed once per distinct result (on the
-    driver thread, in first-appearance order) and handed to each case's
-    relaxation sweep.  The sweeps themselves — forward, seeded backward,
-    ``prob_vjp`` — are pure reads of frozen pools and model parameters,
-    so they fan out to workers and merge back in case order: the returned
-    lists are bit-identical to a serial per-case loop at any worker
-    count.
+    Results of one plan share its memoized lineage and so its inference
+    sites and their features: the probability matrix is computed once per
+    site registry and handed to each case's relaxation sweep.
     """
-    from ..core.sharding import run_sharded
-
     shared_P: dict[int, np.ndarray] = {}
+    q_values: list[float] = []
+    q_grads: list[np.ndarray] = []
     for objective in objectives:
-        key = id(objective.result)
+        key = id(objective.runtime.sites)
         if key not in shared_P:
             shared_P[key] = objective.probabilities()
-
-    outputs = run_sharded(
-        lambda objective: objective.q_and_grad_theta(
-            P_rows=shared_P[id(objective.result)]
-        ),
-        list(objectives),
-        n_workers,
-    )
-    q_values = [float(q) for q, _ in outputs]
-    q_grads = [grad for _, grad in outputs]
+        q, grad = objective.q_and_grad_theta(P_rows=shared_P[key])
+        q_values.append(float(q))
+        q_grads.append(grad)
     return q_values, q_grads
 
 

@@ -344,20 +344,6 @@ class TestDet004:
         assert len(found) == 1
         assert found[0].severity == "warning"
 
-    def test_run_sharded_callable(self):
-        found = findings_for(
-            """
-            def fetch(entry):
-                cache.hits += 1
-                return entry
-
-            def serve(entries):
-                return run_sharded(fetch, entries, 4)
-            """,
-            "DET004",
-        )
-        assert len(found) == 1
-
     def test_pipeline_stage_method_write(self):
         found = findings_for(
             """

@@ -8,27 +8,18 @@ import pytest
 from repro.ml import LogisticRegression, SoftmaxRegression
 from repro.relational import Database, Relation
 
-# Execution variants the determinism harness pins against serial
-# execution: (label, n_workers).  Serial (n_workers=0) is the golden run
-# and always runs first.
-DETERMINISM_VARIANTS = (
-    ("sharded@2w", 2),
-    ("sharded@4w", 4),
-)
-
-
 class DeterminismHarness:
-    """Run one Rain workload across execution variants, pin bit-equality.
+    """Run one Rain workload twice on fresh debuggers, pin bit-equality.
 
-    The contract under test: the worker count may not change *anything*
-    observable — the removal order, the per-iteration removal sets, the
-    complaint-satisfied flags, the stop reason, or the final fitted
-    parameters.  The harness snapshots the
-    model's parameters at construction and restores them before every
-    run, so the variants are exact replays of one initial state.
+    The contract under test: a session replayed on a new debugger over the
+    same database may not change *anything* observable — the removal
+    order, the per-iteration removal sets, the complaint-satisfied flags,
+    the stop reason, or the final fitted parameters.  Each debugger owns
+    its executor, so this also pins that no memoized lineage leaks from
+    one session into the next.  The harness snapshots the model's
+    parameters at construction and restores them before every run, so
+    the replay starts from the golden run's initial state.
     """
-
-    variants = DETERMINISM_VARIANTS
 
     def __init__(
         self,
@@ -57,8 +48,8 @@ class DeterminismHarness:
         self.debugger_kwargs = dict(debugger_kwargs)
         self._initial_params = database.model(model_name).get_params()
 
-    def run(self, n_workers=0):
-        """One replay; returns (report, final fitted parameters)."""
+    def run(self):
+        """One session; returns (report, final fitted parameters)."""
         from repro.core import RainDebugger
 
         model = self.database.model(self.model_name)
@@ -72,7 +63,6 @@ class DeterminismHarness:
             method=self.method,
             rng=self.rng,
             ranker_kwargs=self.ranker_kwargs,
-            n_workers=n_workers,
             **self.debugger_kwargs,
         )
         report = debugger.run(
@@ -81,22 +71,19 @@ class DeterminismHarness:
         )
         return report, model.get_params()
 
-    def check(self, variants=None):
-        """Assert every variant replays the serial run; returns the golden."""
-        golden, golden_params = self.run(0)
-        for label, n_workers in variants or self.variants:
-            report, params = self.run(n_workers)
-            assert report.removal_order == golden.removal_order, label
-            assert [record.removed for record in report.iterations] == [
-                record.removed for record in golden.iterations
-            ], label
-            assert [
-                record.complaints_satisfied for record in report.iterations
-            ] == [
-                record.complaints_satisfied for record in golden.iterations
-            ], label
-            assert report.stopped_reason == golden.stopped_reason, label
-            assert np.array_equal(params, golden_params), label
+    def check(self):
+        """Assert a replay equals the first (golden) run; returns the golden."""
+        golden, golden_params = self.run()
+        report, params = self.run()
+        assert report.removal_order == golden.removal_order
+        assert [record.removed for record in report.iterations] == [
+            record.removed for record in golden.iterations
+        ]
+        assert [record.complaints_satisfied for record in report.iterations] == [
+            record.complaints_satisfied for record in golden.iterations
+        ]
+        assert report.stopped_reason == golden.stopped_reason
+        assert np.array_equal(params, golden_params)
         self.database.model(self.model_name).set_params(self._initial_params)
         return golden
 

@@ -255,12 +255,10 @@ class TestLoop:
         ).run(max_removals=10, k_per_iteration=5)
         assert len(report.removal_order) == 10
 
-    @pytest.mark.parametrize("n_workers", [0, 2])
-    def test_timing_totals_cover_every_stage(self, debug_setting, n_workers):
+    def test_timing_totals_cover_every_stage(self, debug_setting):
         db, model, X, y, corrupted, case = debug_setting
         report = RainDebugger(
             db, "m", X, y, [case], method="holistic", rng=0,
-            n_workers=n_workers,
         ).run(max_removals=10, k_per_iteration=5)
         for label in ("train", "execute", "rank"):
             assert report.timings.get(label, 0.0) > 0.0, label
@@ -277,14 +275,11 @@ def _second_query_case(db):
 
 
 class TestLoopFailures:
-    @pytest.mark.parametrize("n_workers", [0, 2])
-    def test_executor_failure_propagates(
-        self, debug_setting, monkeypatch, n_workers
-    ):
+    def test_executor_failure_propagates(self, debug_setting, monkeypatch):
         db, model, X, y, corrupted, case = debug_setting
         debugger = RainDebugger(
             db, "m", X, y, [case, _second_query_case(db)],
-            method="holistic", rng=0, n_workers=n_workers,
+            method="holistic", rng=0,
         )
 
         def boom(*args, **kwargs):
@@ -372,7 +367,7 @@ class TestTreeOracleLoop:
             model.set_params(initial)
             return RainDebugger(
                 db, "m", X, y, [case], method=method, rng=0,
-                ranker_kwargs=ranker_kwargs, n_workers=0,
+                ranker_kwargs=ranker_kwargs,
             ).run(max_removals=15, k_per_iteration=5)
 
         compiled = run()
@@ -429,3 +424,34 @@ class TestNoWallClockBudget:
             slow = run()
         assert slow.removal_order == fast.removal_order
         assert len(fast.removal_order) == 10
+
+    def test_fig8_run_ignores_slow_host(self, monkeypatch):
+        from repro.experiments import fig8_multiquery
+
+        orders = []
+        plain_run = RainDebugger.run
+
+        def recording_run(self, *args, **kwargs):
+            report = plain_run(self, *args, **kwargs)
+            orders[-1].append((report.method, report.removal_order))
+            return report
+
+        monkeypatch.setattr(RainDebugger, "run", recording_run)
+
+        def run():
+            orders.append([])
+            return fig8_multiquery.run(
+                flip_fractions=(0.5,), methods=("twostep",),
+                n_train=300, n_query=300,
+            )
+
+        fast = run()
+        with monkeypatch.context() as patch:
+            _slow_clock(patch)
+            slow = run()
+        assert orders[1] == orders[0]
+        assert [method for method, _ in orders[0]] == [
+            "holistic", "holistic", "twostep"
+        ]
+        assert all(order for _, order in orders[0])
+        assert slow.rows == fast.rows

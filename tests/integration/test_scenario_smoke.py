@@ -5,9 +5,9 @@ fig8 (Adult multi-query) paths, pinning the actual recall curves — not
 just the qualitative shape — so a numerics regression anywhere in the
 train-rank-fix stack (executor, relaxation, influence solves, ranking)
 shows up as a curve shift here before the slow benchmarks run.  The runs
-are fully seeded and the engine is deterministic (see the sharding
-determinism contract), so the pins hold exactly; tolerances are
-only for cross-platform float noise.
+are fully seeded and the engine is deterministic (a session replayed on
+a fresh debugger is bit-identical), so the pins hold exactly; tolerances
+are only for cross-platform float noise.
 """
 
 import numpy as np
@@ -84,22 +84,21 @@ class TestAdultScenario:
         # ranking cannot see — loss finds nothing at this scale.
         assert summaries["loss"]["auccr"] == pytest.approx(0.0, abs=PIN_ATOL)
 
-    def test_sharded_run_reproduces_pinned_curve(self):
-        """Explicit serial and 2-worker runs give the same curve exactly."""
+    def test_replayed_run_reproduces_pinned_curve(self):
+        """Two sessions on fresh debuggers give the same curve exactly."""
         setting = build_adult_setting(0.5, n_train=200, n_query=300, seed=0)
-        runs = {
-            n_workers: compare_methods(
+        runs = [
+            compare_methods(
                 setting.database, "income", setting.X_train,
                 setting.y_corrupted,
                 [setting.gender_case, setting.age_case],
                 setting.corrupted_indices,
                 methods=("holistic",), seed=0, max_removals=30,
-                n_workers=n_workers,
             )["holistic"]
-            for n_workers in (0, 2)
-        }
+            for _ in range(2)
+        ]
         assert runs[0]["auccr"] == pytest.approx(0.525641, abs=PIN_ATOL)
         np.testing.assert_array_equal(
-            runs[2]["recall_curve"], runs[0]["recall_curve"]
+            runs[1]["recall_curve"], runs[0]["recall_curve"]
         )
-        assert runs[2]["auccr"] == runs[0]["auccr"]
+        assert runs[1]["auccr"] == runs[0]["auccr"]

@@ -19,7 +19,12 @@ class TestParser:
             build_parser().parse_args(["run", "fig99"])
 
     def test_every_experiment_registered(self):
-        assert len(EXPERIMENTS) == 18
+        assert len(EXPERIMENTS) == 17
+        assert "serving" not in EXPERIMENTS
+
+    def test_serve_command_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve"])
 
     def test_every_runner_takes_seed(self):
         for name, (runner, _) in EXPERIMENTS.items():
