@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from ..ml.base import ClassificationModel
+from ..ml.base import ClassificationModel, TrainingSet
 from .cg import BlockCGResult, CGResult, block_conjugate_gradient, conjugate_gradient
 
 
@@ -57,12 +57,11 @@ class PerSampleGradCache:
     def get(
         self,
         model: ClassificationModel,
-        X: np.ndarray,
-        y: np.ndarray,
+        train: TrainingSet,
         row_ids: np.ndarray,
     ) -> np.ndarray:
         """Per-sample gradients for the records ``row_ids`` (global ids
-        aligned with the rows of ``X``/``y``)."""
+        aligned with the rows of ``train``)."""
         row_ids = np.asarray(row_ids, dtype=np.int64)
         key = model.get_params().tobytes()
         if (
@@ -75,7 +74,7 @@ class PerSampleGradCache:
                 self.hits += 1
                 return self._grads[np.asarray(positions, dtype=np.int64)]
         self.misses += 1
-        grads = model.per_sample_grads(X, y)
+        grads = model.per_sample_grads_on(train)
         self._params_key = key
         self._positions = {int(rid): pos for pos, rid in enumerate(row_ids)}
         self._grads = grads
@@ -83,7 +82,12 @@ class PerSampleGradCache:
 
 
 class InfluenceAnalyzer:
-    """Computes influence scores of training records on scalar objectives."""
+    """Computes influence scores of training records on scalar objectives.
+
+    The training records are converted for the model once, at construction
+    (``self.train``), and each CG solve builds one Hessian operator at the
+    model's current θ.
+    """
 
     def __init__(
         self,
@@ -99,8 +103,7 @@ class InfluenceAnalyzer:
         if not model.is_fitted:
             raise ModelError("InfluenceAnalyzer requires a fitted model")
         self.model = model
-        self.X_train = np.asarray(X_train, dtype=np.float64)
-        self.y_train = np.asarray(y_train)
+        self.train = model.training_set(X_train, y_train)
         self.damping = float(damping)
         self.cg_tol = float(cg_tol)
         self.cg_max_iter = cg_max_iter
@@ -125,7 +128,7 @@ class InfluenceAnalyzer:
         solve typically finishes in a fraction of the cold iterations).
         """
         result = conjugate_gradient(
-            lambda w: self.model.hvp(self.X_train, self.y_train, w),
+            self.model.hessian_operator(self.train).matvec,
             np.asarray(v, dtype=np.float64),
             damping=self.damping,
             tol=self.cg_tol,
@@ -146,7 +149,7 @@ class InfluenceAnalyzer:
         ``last_block_cg_result``.
         """
         result = block_conjugate_gradient(
-            lambda W: self.model.hvp_block(self.X_train, self.y_train, W),
+            self.model.hessian_operator(self.train).matmat,
             np.asarray(V, dtype=np.float64),
             damping=self.damping,
             tol=self.cg_tol,
@@ -162,10 +165,8 @@ class InfluenceAnalyzer:
         """Per-sample training-loss gradients, via the shared cache if one
         was provided (Rain threads a cache through its iterations)."""
         if self.grad_cache is not None and self.row_ids is not None:
-            return self.grad_cache.get(
-                self.model, self.X_train, self.y_train, self.row_ids
-            )
-        return self.model.per_sample_grads(self.X_train, self.y_train)
+            return self.grad_cache.get(self.model, self.train, self.row_ids)
+        return self.model.per_sample_grads_on(self.train)
 
     def scores_from_q_grad(
         self, q_grad: np.ndarray, x0: np.ndarray | None = None
@@ -181,7 +182,7 @@ class InfluenceAnalyzer:
                 f"q_grad has shape {q_grad.shape}, expected ({self.model.n_params},)"
             )
         u = self.inverse_hvp(q_grad, x0=x0)
-        return -self.model.grad_dot(self.X_train, self.y_train, u)
+        return -self.model.grad_dot_on(self.train, u)
 
     def scores_from_q_grads(
         self, q_grads: np.ndarray, X0: np.ndarray | None = None
@@ -202,7 +203,7 @@ class InfluenceAnalyzer:
                 f"q_grads has shape {Q.shape}, expected (m, {self.model.n_params})"
             )
         U = self.inverse_hvp_block(Q.T, X0=None if X0 is None else np.asarray(X0).T)
-        return -self.model.grad_dot_block(self.X_train, self.y_train, U).T
+        return -self.model.grad_dot_block_on(self.train, U).T
 
     def removal_effect_on_q(self, q_grad: np.ndarray, indices: np.ndarray) -> float:
         """First-order estimate of Δq when deleting the records ``indices``.
@@ -211,7 +212,7 @@ class InfluenceAnalyzer:
         Δq ≈ -(1/n) Σ_{i∈S} score_i.
         """
         scores = self.scores_from_q_grad(q_grad)
-        n = self.X_train.shape[0]
+        n = self.train.y_idx.shape[0]
         return float(-np.sum(scores[np.asarray(indices, dtype=np.int64)]) / n)
 
     # -- loss-based baselines -----------------------------------------------------
@@ -265,7 +266,7 @@ class InfluenceAnalyzer:
 
     def training_losses(self) -> np.ndarray:
         """Per-record training losses (the Loss baseline statistic)."""
-        return self.model.per_sample_losses(self.X_train, self.y_train)
+        return self.model.per_sample_losses_on(self.train)
 
 
 def q_grad_for_target_predictions(

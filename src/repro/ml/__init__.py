@@ -1,6 +1,6 @@
 """ML models implementing the protocol Rain's influence machinery needs."""
 
-from .base import ClassificationModel
+from .base import ClassificationModel, HessianOperator, TrainingSet
 from .linear import LogisticRegression, SoftmaxRegression
 from .neural import (
     NeuralClassifier,
@@ -12,6 +12,8 @@ from .neural import (
 
 __all__ = [
     "ClassificationModel",
+    "HessianOperator",
+    "TrainingSet",
     "LogisticRegression",
     "SoftmaxRegression",
     "NeuralClassifier",

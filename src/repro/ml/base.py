@@ -13,16 +13,54 @@ Rain needs more from a model than ``fit``/``predict``:
 
 Models are trained by L-BFGS on the L2-regularized mean loss
 ``L(θ) = (1/n) Σ ℓ(z_i, θ) + λ‖θ‖²``, matching Section 6.1.6 of the paper.
+
+Inputs are converted once per public call, never per evaluation.  Each
+public entry point turns raw ``(X, y)`` into a :class:`TrainingSet` — the
+model's inputs (:meth:`ClassificationModel._inputs`: float64, plus the bias
+column for the linear models) and the int64 class indices — and the
+``_``-prefixed internals (``_data_loss_and_grad``, ``_per_sample_*``,
+``_proba``, ``_prob_vjp``, ...) receive only converted inputs.  ``fit``
+converts once per call, not once per L-BFGS evaluation; an influence
+analyzer converts once at construction and passes its set to the ``*_on``
+methods.  :meth:`ClassificationModel.hessian_operator` captures θ and every
+quantity that depends only on θ (the logistic σ(1−σ) weights, the softmax
+probabilities), so each product of a CG solve costs two matrix products.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
 
 from ..errors import ModelError, NotFittedError
+
+
+class TrainingSet(NamedTuple):
+    """Labelled records converted for a model's internals.
+
+    ``inputs`` is :meth:`ClassificationModel._inputs` of the features and
+    ``y_idx`` the int64 class index of every label.
+    """
+
+    inputs: np.ndarray
+    y_idx: np.ndarray
+
+
+@dataclass(frozen=True)
+class HessianOperator:
+    """Products with the Hessian of the regularized mean loss at a fixed θ.
+
+    ``matvec`` maps an ``(n_params,)`` vector ``v`` to ``(∇²L) v`` and
+    ``matmat`` an ``(n_params, k)`` matrix ``V`` to ``(∇²L) V``.  The two sum
+    in different orders, so neither is routed through the other.
+    """
+
+    matvec: Callable[[np.ndarray], np.ndarray]
+    matmat: Callable[[np.ndarray], np.ndarray]
 
 
 class ClassificationModel:
@@ -68,17 +106,39 @@ class ClassificationModel:
         return self._params is not None
 
     def labels_to_indices(self, y: np.ndarray) -> np.ndarray:
-        try:
-            return np.asarray([self._class_index[label] for label in np.asarray(y).tolist()])
-        except KeyError as exc:
+        """int64 class index of every label (one comparison per class)."""
+        y = np.asarray(y)
+        indices = np.full(y.shape, -1, dtype=np.int64)
+        for index, label in enumerate(self.classes):
+            indices[y == label] = index
+        unknown = np.flatnonzero(indices < 0)
+        if unknown.size:
+            label = y[unknown[:1]].tolist()[0]
             raise ModelError(
-                f"unknown class label {exc.args[0]!r}; classes: {self.classes}"
-            ) from None
+                f"unknown class label {label!r}; classes: {self.classes}"
+            )
+        return indices
 
     def indices_to_labels(self, indices: np.ndarray) -> np.ndarray:
         return np.asarray(self.classes)[np.asarray(indices, dtype=np.int64)]
 
+    def _inputs(self, X: np.ndarray) -> np.ndarray:
+        """Raw features to the inputs the internals take."""
+        return np.asarray(X, dtype=np.float64)
+
+    def training_set(self, X: np.ndarray, y: np.ndarray) -> TrainingSet:
+        """Convert raw features and labels once for the ``*_on`` methods."""
+        y_idx = self.labels_to_indices(y)
+        X = np.asarray(X)
+        if X.shape[0] != y_idx.shape[0]:
+            raise ModelError(
+                f"X has {X.shape[0]} rows but y has {y_idx.shape[0]} labels"
+            )
+        return TrainingSet(self._inputs(X), y_idx)
+
     # -- core numerical interface (implemented by subclasses) --------------------
+    #
+    # ``X`` here is always converted: ``self._inputs(raw)``, never raw features.
 
     def _data_loss_and_grad(
         self, params: np.ndarray, X: np.ndarray, y_idx: np.ndarray
@@ -100,24 +160,9 @@ class ClassificationModel:
     def _data_hvp(
         self, params: np.ndarray, X: np.ndarray, y_idx: np.ndarray, v: np.ndarray
     ) -> np.ndarray:
-        """Hessian-vector product of the mean data loss."""
+        """Hessian-vector product of the mean data loss (used by the default
+        :meth:`hessian_operator`; the linear models override the operator)."""
         raise NotImplementedError
-
-    def _data_hvp_block(
-        self, params: np.ndarray, X: np.ndarray, y_idx: np.ndarray, V: np.ndarray
-    ) -> np.ndarray:
-        """Batched Hessian-matrix product ``H V`` for ``V`` of shape
-        ``(n_params, k)``.
-
-        The default falls back to one :meth:`_data_hvp` per column; linear
-        models override it with a single matrix-level contraction so a block
-        CG iteration costs a few BLAS-3 calls instead of ``k`` matvecs.
-        """
-        if V.shape[1] == 0:
-            return np.zeros_like(V)
-        return np.column_stack(
-            [self._data_hvp(params, X, y_idx, V[:, j]) for j in range(V.shape[1])]
-        )
 
     def _proba(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
         """(n, n_classes) class probabilities."""
@@ -145,14 +190,11 @@ class ClassificationModel:
         """Minimize the regularized mean loss with L-BFGS.
 
         ``warm_start=True`` (the default, and what the train-rank-fix loop
-        uses) starts from the current parameters when available.
+        uses) starts from the current parameters when available.  ``(X, y)``
+        is converted once per call, not once per evaluation.
         """
         X = np.asarray(X, dtype=np.float64)
-        y_idx = self.labels_to_indices(y)
-        if X.shape[0] != y_idx.shape[0]:
-            raise ModelError(
-                f"X has {X.shape[0]} rows but y has {y_idx.shape[0]} labels"
-            )
+        inputs, y_idx = self.training_set(X, y)
         if X.shape[0] == 0:
             raise ModelError("cannot fit on an empty training set")
 
@@ -162,7 +204,7 @@ class ClassificationModel:
             theta0 = self._init_params(X.shape[1:])
 
         def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            loss, grad = self._data_loss_and_grad(theta, X, y_idx)
+            loss, grad = self._data_loss_and_grad(theta, inputs, y_idx)
             loss += self.l2 * float(theta @ theta)
             grad = grad + 2.0 * self.l2 * theta
             return loss, grad
@@ -181,37 +223,46 @@ class ClassificationModel:
     def loss(self, X: np.ndarray, y: np.ndarray) -> float:
         """Regularized mean loss at the current parameters."""
         params = self.get_params()
-        X = np.asarray(X, dtype=np.float64)
-        value, _ = self._data_loss_and_grad(params, X, self.labels_to_indices(y))
+        value, _ = self._data_loss_and_grad(params, *self.training_set(X, y))
         return float(value + self.l2 * params @ params)
 
     def per_sample_losses(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._per_sample_losses(
-            self.get_params(), np.asarray(X, dtype=np.float64), self.labels_to_indices(y)
-        )
+        return self.per_sample_losses_on(self.training_set(X, y))
+
+    def per_sample_losses_on(self, train: TrainingSet) -> np.ndarray:
+        return self._per_sample_losses(self.get_params(), *train)
 
     def per_sample_grads(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._per_sample_grads(
-            self.get_params(), np.asarray(X, dtype=np.float64), self.labels_to_indices(y)
-        )
+        return self.per_sample_grads_on(self.training_set(X, y))
+
+    def per_sample_grads_on(self, train: TrainingSet) -> np.ndarray:
+        return self._per_sample_grads(self.get_params(), *train)
 
     def grad_dot(self, X: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Per-sample directional derivatives ``∇ℓ(z_i, θ)ᵀ v``.
+        """Per-sample directional derivatives ``∇ℓ(z_i, θ)ᵀ v``."""
+        return self.grad_dot_on(self.training_set(X, y), v)
+
+    def grad_dot_on(self, train: TrainingSet, v: np.ndarray) -> np.ndarray:
+        """:meth:`grad_dot` over a converted set.
 
         Default implementation materializes per-sample gradients; subclasses
         override with cheaper schemes (the neural model uses two forward
         passes of central finite differences).
         """
-        return self.per_sample_grads(X, y) @ np.asarray(v, dtype=np.float64)
+        return self.per_sample_grads_on(train) @ np.asarray(v, dtype=np.float64)
 
     def grad_dot_block(self, X: np.ndarray, y: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """Per-sample directional derivatives against ``k`` directions.
+        """Per-sample directional derivatives against ``k`` directions."""
+        return self.grad_dot_block_on(self.training_set(X, y), U)
+
+    def grad_dot_block_on(self, train: TrainingSet, U: np.ndarray) -> np.ndarray:
+        """:meth:`grad_dot_block` over a converted set.
 
         ``U`` is ``(n_params, k)``; returns the ``(n, k)`` matrix with entry
         ``[i, j] = ∇ℓ(z_i, θ)ᵀ U[:, j]``.  All models use this default: it
         materializes per-sample gradients once and contracts them against
         every direction in one GEMM.  Note the neural model's *scalar*
-        :meth:`grad_dot` uses central finite differences instead, so for
+        :meth:`grad_dot_on` uses central finite differences instead, so for
         neural models the block and scalar paths agree only to FD error.
         """
         U = np.asarray(U, dtype=np.float64)
@@ -219,37 +270,50 @@ class ClassificationModel:
             raise ModelError(
                 f"U has shape {U.shape}, expected ({self.n_params}, k)"
             )
-        return self.per_sample_grads(X, y) @ U
+        return self.per_sample_grads_on(train) @ U
+
+    def hessian_operator(self, train: TrainingSet) -> HessianOperator:
+        """Products with ``∇²L`` at the current θ over ``train``.
+
+        One operator serves one CG solve.  This default applies
+        :meth:`_data_hvp` per vector (per column for ``matmat``); the linear
+        models override it to capture their θ-only quantities once.
+        """
+        params = self.get_params()
+        inputs, y_idx = train
+
+        def matvec(v: np.ndarray) -> np.ndarray:
+            return self._data_hvp(params, inputs, y_idx, v) + 2.0 * self.l2 * v
+
+        def matmat(V: np.ndarray) -> np.ndarray:
+            columns = [
+                self._data_hvp(params, inputs, y_idx, column) for column in V.T
+            ]
+            data = np.column_stack(columns) if columns else np.zeros_like(V)
+            return data + 2.0 * self.l2 * V
+
+        return HessianOperator(matvec, matmat)
 
     def hvp(self, X: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         """HVP of the *regularized* mean training loss: ``(∇²L)v``."""
-        params = self.get_params()
-        v = np.asarray(v, dtype=np.float64)
-        data = self._data_hvp(
-            params, np.asarray(X, dtype=np.float64), self.labels_to_indices(y), v
-        )
-        return data + 2.0 * self.l2 * v
+        operator = self.hessian_operator(self.training_set(X, y))
+        return operator.matvec(np.asarray(v, dtype=np.float64))
 
     def hvp_block(self, X: np.ndarray, y: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Batched HVPs of the regularized loss: ``(∇²L) V`` column by column.
 
         ``V`` is a ``(n_params, k)`` matrix of directions; the result has the
-        same shape.  This is the oracle
-        :func:`~repro.influence.cg.block_conjugate_gradient` consumes.
+        same shape.
         """
-        params = self.get_params()
         V = np.asarray(V, dtype=np.float64)
         if V.ndim != 2 or V.shape[0] != self.n_params:
             raise ModelError(
                 f"V has shape {V.shape}, expected ({self.n_params}, k)"
             )
-        data = self._data_hvp_block(
-            params, np.asarray(X, dtype=np.float64), self.labels_to_indices(y), V
-        )
-        return data + 2.0 * self.l2 * V
+        return self.hessian_operator(self.training_set(X, y)).matmat(V)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self._proba(self.get_params(), np.asarray(X, dtype=np.float64))
+        return self._proba(self.get_params(), self._inputs(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         proba = self.predict_proba(X)
@@ -263,7 +327,7 @@ class ClassificationModel:
             raise ModelError(
                 f"weights shape {weights.shape} != ({X.shape[0]}, {self.n_classes})"
             )
-        return self._prob_vjp(self.get_params(), X, weights)
+        return self._prob_vjp(self.get_params(), self._inputs(X), weights)
 
     # -- evaluation helpers ---------------------------------------------------------
 

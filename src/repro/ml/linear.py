@@ -7,10 +7,11 @@ softmax regression both support:
 - analytic per-sample gradients (vectorized, no loops),
 - analytic HVPs — ``H v = (1/n) Xᵀ diag(σ'(Xθ)) X v`` for the binary case
   and the Fisher-form product for softmax — which make conjugate-gradient
-  influence estimation fast and exact,
+  influence estimation fast and exact; ``hessian_operator`` computes the
+  θ-only factor (σ' or the softmax probabilities) once per solve,
 - analytic probability VJPs for TwoStep/Holistic ``q`` gradients.
 
-Both models optionally append an intercept feature internally
+Both models optionally append an intercept feature in ``_inputs``
 (``fit_intercept=True``); the intercept is regularized along with the rest
 of θ, which keeps the training Hessian strictly positive definite (the
 convexity condition influence functions rely on).
@@ -23,7 +24,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..errors import ModelError
-from .base import ClassificationModel
+from .base import ClassificationModel, HessianOperator, TrainingSet
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -72,7 +73,9 @@ class LogisticRegression(ClassificationModel):
             )
         return np.zeros(self.n_params)
 
-    def _augment(self, X: np.ndarray) -> np.ndarray:
+    def _inputs(self, X: np.ndarray) -> np.ndarray:
+        """Float64 features, plus the intercept column if ``fit_intercept``."""
+        X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ModelError(
                 f"X must have shape (n, {self.n_features}), got {X.shape}"
@@ -83,49 +86,42 @@ class LogisticRegression(ClassificationModel):
 
     # -- losses / gradients ------------------------------------------------------
 
-    def _margins(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return self._augment(X) @ params
-
-    def _data_loss_and_grad(self, params, X, y_idx):
-        Xa = self._augment(X)
+    def _data_loss_and_grad(self, params, Xa, y_idx):
         z = Xa @ params
         y = y_idx.astype(np.float64)  # 1 for classes[1]
         # ℓ = -y log σ(z) - (1-y) log(1-σ(z))
         losses = -(y * _log_sigmoid(z) + (1.0 - y) * _log_sigmoid(-z))
         p = _stable_sigmoid(z)
-        grad = Xa.T @ (p - y) / X.shape[0]
+        grad = Xa.T @ (p - y) / Xa.shape[0]
         return float(losses.mean()), grad
 
-    def _per_sample_losses(self, params, X, y_idx):
-        z = self._margins(params, X)
+    def _per_sample_losses(self, params, Xa, y_idx):
+        z = Xa @ params
         y = y_idx.astype(np.float64)
         return -(y * _log_sigmoid(z) + (1.0 - y) * _log_sigmoid(-z))
 
-    def _per_sample_grads(self, params, X, y_idx):
-        Xa = self._augment(X)
+    def _per_sample_grads(self, params, Xa, y_idx):
         p = _stable_sigmoid(Xa @ params)
         residual = p - y_idx.astype(np.float64)
         return Xa * residual[:, None]
 
-    def _data_hvp(self, params, X, y_idx, v):
-        Xa = self._augment(X)
-        p = _stable_sigmoid(Xa @ params)
+    def hessian_operator(self, train: TrainingSet) -> HessianOperator:
+        # H v = (1/n) Xᵀ diag(σ') X v + 2λv, with σ' = σ(1-σ) fixed by θ.
+        Xa = train.inputs
+        n = Xa.shape[0]
+        p = _stable_sigmoid(Xa @ self.get_params())
         weights = p * (1.0 - p)
-        return Xa.T @ (weights * (Xa @ v)) / X.shape[0]
+        l2 = self.l2
+        return HessianOperator(
+            lambda v: Xa.T @ (weights * (Xa @ v)) / n + 2.0 * l2 * v,
+            lambda V: Xa.T @ (weights[:, None] * (Xa @ V)) / n + 2.0 * l2 * V,
+        )
 
-    def _data_hvp_block(self, params, X, y_idx, V):
-        # H V = (1/n) Xᵀ diag(σ') X V for all columns at once.
-        Xa = self._augment(X)
-        p = _stable_sigmoid(Xa @ params)
-        weights = (p * (1.0 - p))[:, None]
-        return Xa.T @ (weights * (Xa @ V)) / X.shape[0]
-
-    def _proba(self, params, X):
-        p1 = _stable_sigmoid(self._margins(params, X))
+    def _proba(self, params, Xa):
+        p1 = _stable_sigmoid(Xa @ params)
         return np.stack([1.0 - p1, p1], axis=1)
 
-    def _prob_vjp(self, params, X, weights):
-        Xa = self._augment(X)
+    def _prob_vjp(self, params, Xa, weights):
         p1 = _stable_sigmoid(Xa @ params)
         # ∂p1/∂θ = p1(1-p1)x ; ∂p0/∂θ = -p1(1-p1)x
         coeff = (weights[:, 1] - weights[:, 0]) * p1 * (1.0 - p1)
@@ -133,7 +129,8 @@ class LogisticRegression(ClassificationModel):
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         """Raw margins ``xᵀθ`` (used by tests and diagnostics)."""
-        return self._margins(self.get_params(), np.asarray(X, dtype=np.float64))
+        params = self.get_params()
+        return self._inputs(X) @ params
 
 
 class SoftmaxRegression(ClassificationModel):
@@ -171,7 +168,9 @@ class SoftmaxRegression(ClassificationModel):
             )
         return np.zeros(self.n_params)
 
-    def _augment(self, X: np.ndarray) -> np.ndarray:
+    def _inputs(self, X: np.ndarray) -> np.ndarray:
+        """Float64 features, plus the intercept column if ``fit_intercept``."""
+        X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ModelError(
                 f"X must have shape (n, {self.n_features}), got {X.shape}"
@@ -183,16 +182,15 @@ class SoftmaxRegression(ClassificationModel):
     def _weight_matrix(self, params: np.ndarray) -> np.ndarray:
         return params.reshape(self._n_rows, self.n_classes)
 
-    def _log_proba(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-        logits = self._augment(X) @ self._weight_matrix(params)
+    def _log_proba(self, params: np.ndarray, Xa: np.ndarray) -> np.ndarray:
+        logits = Xa @ self._weight_matrix(params)
         logits -= logits.max(axis=1, keepdims=True)
         log_z = np.log(np.exp(logits).sum(axis=1, keepdims=True))
         return logits - log_z
 
-    def _data_loss_and_grad(self, params, X, y_idx):
-        Xa = self._augment(X)
-        log_p = self._log_proba(params, X)
-        n = X.shape[0]
+    def _data_loss_and_grad(self, params, Xa, y_idx):
+        log_p = self._log_proba(params, Xa)
+        n = Xa.shape[0]
         losses = -log_p[np.arange(n), y_idx]
         p = np.exp(log_p)
         delta = p.copy()
@@ -200,45 +198,47 @@ class SoftmaxRegression(ClassificationModel):
         grad = (Xa.T @ delta) / n
         return float(losses.mean()), grad.ravel()
 
-    def _per_sample_losses(self, params, X, y_idx):
-        log_p = self._log_proba(params, X)
-        return -log_p[np.arange(X.shape[0]), y_idx]
+    def _per_sample_losses(self, params, Xa, y_idx):
+        log_p = self._log_proba(params, Xa)
+        return -log_p[np.arange(Xa.shape[0]), y_idx]
 
-    def _per_sample_grads(self, params, X, y_idx):
-        Xa = self._augment(X)
-        p = np.exp(self._log_proba(params, X))
+    def _per_sample_grads(self, params, Xa, y_idx):
+        p = np.exp(self._log_proba(params, Xa))
         delta = p.copy()
-        delta[np.arange(X.shape[0]), y_idx] -= 1.0
+        delta[np.arange(Xa.shape[0]), y_idx] -= 1.0
         # grad_i = x_i ⊗ delta_i, flattened to (n_rows * K)
-        return np.einsum("nd,nk->ndk", Xa, delta).reshape(X.shape[0], -1)
+        return np.einsum("nd,nk->ndk", Xa, delta).reshape(Xa.shape[0], -1)
 
-    def _data_hvp(self, params, X, y_idx, v):
-        Xa = self._augment(X)
-        p = np.exp(self._log_proba(params, X))
-        V = v.reshape(self._n_rows, self.n_classes)
-        A = Xa @ V  # (n, K)
-        # Row-wise (diag(p) - p pᵀ) A
-        B = p * (A - (p * A).sum(axis=1, keepdims=True))
-        return (Xa.T @ B / X.shape[0]).ravel()
+    def hessian_operator(self, train: TrainingSet) -> HessianOperator:
+        # Fisher-form product: row-wise (diag(p) - p pᵀ) applied to X V, with
+        # the probabilities p fixed by θ.
+        Xa = train.inputs
+        n = Xa.shape[0]
+        p = np.exp(self._log_proba(self.get_params(), Xa))
+        n_rows, n_classes, l2 = self._n_rows, self.n_classes, self.l2
 
-    def _data_hvp_block(self, params, X, y_idx, V):
-        # Same Fisher-form product as _data_hvp, batched over the b columns
-        # of V (each a flattened (n_rows, K) direction).
-        Xa = self._augment(X)
-        p = np.exp(self._log_proba(params, X))
-        n_rhs = V.shape[1]
-        W = V.T.reshape(n_rhs, self._n_rows, self.n_classes)
-        A = np.einsum("nd,bdk->bnk", Xa, W)
-        B = p[None, :, :] * (A - np.einsum("nk,bnk->bn", p, A)[:, :, None])
-        out = np.einsum("nd,bnk->bdk", Xa, B) / X.shape[0]
-        return out.reshape(n_rhs, -1).T
+        def matvec(v: np.ndarray) -> np.ndarray:
+            A = Xa @ v.reshape(n_rows, n_classes)  # (n, K)
+            B = p * (A - (p * A).sum(axis=1, keepdims=True))
+            return (Xa.T @ B / n).ravel() + 2.0 * l2 * v
 
-    def _proba(self, params, X):
-        return np.exp(self._log_proba(params, X))
+        def matmat(V: np.ndarray) -> np.ndarray:
+            # The same product batched over the b columns of V (each a
+            # flattened (n_rows, K) direction).
+            n_rhs = V.shape[1]
+            W = V.T.reshape(n_rhs, n_rows, n_classes)
+            A = np.einsum("nd,bdk->bnk", Xa, W)
+            B = p[None, :, :] * (A - np.einsum("nk,bnk->bn", p, A)[:, :, None])
+            out = np.einsum("nd,bnk->bdk", Xa, B) / n
+            return out.reshape(n_rhs, -1).T + 2.0 * l2 * V
 
-    def _prob_vjp(self, params, X, weights):
-        Xa = self._augment(X)
-        p = np.exp(self._log_proba(params, X))
+        return HessianOperator(matvec, matmat)
+
+    def _proba(self, params, Xa):
+        return np.exp(self._log_proba(params, Xa))
+
+    def _prob_vjp(self, params, Xa, weights):
+        p = np.exp(self._log_proba(params, Xa))
         # ∂/∂W Σ w_ic p_ic ; per-row inner Jacobian is diag(p) - p pᵀ.
         inner = p * (weights - (weights * p).sum(axis=1, keepdims=True))
         return (Xa.T @ inner).ravel()

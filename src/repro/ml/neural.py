@@ -161,18 +161,16 @@ class NeuralClassifier(ClassificationModel):
             [per_param[id(param)] for param in all_params], axis=1
         )
 
-    def grad_dot(self, X, y, v):
+    def grad_dot_on(self, train, v):
         """``∇ℓ_iᵀ v`` for every sample with two forward passes (central FD)."""
         params = self.get_params()
         v = np.asarray(v, dtype=np.float64)
         norm = np.linalg.norm(v)
         if norm == 0:
-            return np.zeros(np.asarray(X).shape[0])
+            return np.zeros(train.inputs.shape[0])
         eps = self.fd_eps / norm * max(1.0, np.linalg.norm(params))
-        y_idx = self.labels_to_indices(y)
-        X = np.asarray(X, dtype=np.float64)
-        plus = self._per_sample_losses(params + eps * v, X, y_idx)
-        minus = self._per_sample_losses(params - eps * v, X, y_idx)
+        plus = self._per_sample_losses(params + eps * v, *train)
+        minus = self._per_sample_losses(params - eps * v, *train)
         return (plus - minus) / (2.0 * eps)
 
     def _data_hvp(self, params, X, y_idx, v):

@@ -57,6 +57,7 @@ class QueryRuntime:
         self._feat_blocks: list[np.ndarray] = []
         self._feat_total = 0
         self._feat_cat: np.ndarray | None = None
+        self._site_feat: np.ndarray | None = None  # site_features(), once built
         self._labels = np.empty(0, dtype=object)  # site -> predicted label
         self._labels_known = np.zeros(0, dtype=bool)
         # ("relation" | "model", name) -> the object this execution read.
@@ -255,6 +256,22 @@ class QueryRuntime:
             )
         return self._feat_cat[rows]
 
+    def site_features(self) -> np.ndarray:
+        """Every site's recorded features in site-id order, read-only.
+
+        Built once per set of sites and shared, not copied: the relabeled
+        runtimes of a memoized lineage and the relaxed objectives over them
+        all read this one array, so an in-place write raises.  A site's
+        features never change once recorded, so only new sites make it
+        out of date.
+        """
+        n = len(self.sites)
+        if self._site_feat is None or self._site_feat.shape[0] != n:
+            features = self.features_for_sites(np.arange(n))
+            features.flags.writeable = False
+            self._site_feat = features
+        return self._site_feat
+
     def prediction_for_site(self, site_key: tuple[str, str, int]):
         model_name, relation_name, row_id = site_key
         known = self._pred_known.get((model_name, relation_name))
@@ -292,15 +309,16 @@ class QueryRuntime:
     def relabeled(self) -> "QueryRuntime":
         """A runtime over this one's lineage, labelled by the current models.
 
-        The copy shares the site registry, the node pool and the recorded
-        site features read-only, and gets its own prediction and site-label
-        stores: one ``model.predict`` per run of sites (the rows one
-        ``intern_sites`` call added), over the features recorded then.
+        The copy shares the site registry, the node pool and the
+        :meth:`site_features` array (by reference, not copied), and gets
+        its own prediction and site-label stores: one ``model.predict`` per
+        run of sites (the rows one ``intern_sites`` call added), over the
+        features recorded then.
         Those are the rows and the feature order a fresh execution would
         predict, so the labels equal a re-execution's.
         """
         n = len(self.sites)
-        features = self.features_for_sites(np.arange(n))
+        features = self.site_features()
         runtime = QueryRuntime(self.database, debug=self.debug)
         runtime.sites = self.sites
         runtime.pool = self.pool
@@ -308,6 +326,7 @@ class QueryRuntime:
         runtime._feat_blocks = [features]
         runtime._feat_total = n
         runtime._feat_cat = features
+        runtime._site_feat = features
         runtime._labels = np.empty(n, dtype=object)
         runtime._labels_known = np.ones(n, dtype=bool)
         for start, model_name, relation_name, rows in self.sites.runs():

@@ -81,7 +81,7 @@ class RelaxedComplaintObjective:
         self.model_name = model_names.pop()
         self.model = self.runtime.model(self.model_name)
         self.site_ids = site_ids
-        self.X_sites = self.runtime.features_for_sites(site_ids)
+        self.X_sites = self.runtime.site_features()
         self.relaxer = Relaxer.for_model(self.model)
         self._site_arr = np.asarray(site_ids, dtype=np.int64)
         self._max_site = int(self._site_arr.max()) + 1

@@ -120,8 +120,8 @@ class TestPerSampleGradCache:
         model, X, y = self.make_model()
         cache = PerSampleGradCache()
         row_ids = np.arange(40)
-        first = cache.get(model, X, y, row_ids)
-        second = cache.get(model, X, y, row_ids)
+        first = cache.get(model, model.training_set(X, y), row_ids)
+        second = cache.get(model, model.training_set(X, y), row_ids)
         assert cache.hits == 1 and cache.misses == 1
         np.testing.assert_array_equal(first, second)
 
@@ -129,9 +129,11 @@ class TestPerSampleGradCache:
         model, X, y = self.make_model()
         cache = PerSampleGradCache()
         row_ids = np.arange(40)
-        full = cache.get(model, X, y, row_ids)
+        full = cache.get(model, model.training_set(X, y), row_ids)
         survivors = np.delete(row_ids, [3, 17, 30])
-        subset = cache.get(model, X[survivors], y[survivors], survivors)
+        subset = cache.get(
+            model, model.training_set(X[survivors], y[survivors]), survivors
+        )
         assert cache.hits == 1
         np.testing.assert_array_equal(subset, full[survivors])
         np.testing.assert_array_equal(
@@ -142,23 +144,24 @@ class TestPerSampleGradCache:
         model, X, y = self.make_model()
         cache = PerSampleGradCache()
         row_ids = np.arange(40)
-        cache.get(model, X, y, row_ids)
+        cache.get(model, model.training_set(X, y), row_ids)
         model.set_params(model.get_params() + 0.01)
-        fresh = cache.get(model, X, y, row_ids)
+        fresh = cache.get(model, model.training_set(X, y), row_ids)
         assert cache.misses == 2
         np.testing.assert_array_equal(fresh, model.per_sample_grads(X, y))
 
     def test_unknown_rows_miss(self):
         model, X, y = self.make_model()
         cache = PerSampleGradCache()
-        cache.get(model, X[:20], y[:20], np.arange(20))
-        cache.get(model, X, y, np.arange(40))  # superset: must recompute
+        cache.get(model, model.training_set(X[:20], y[:20]), np.arange(20))
+        # A superset of the cached rows must recompute.
+        cache.get(model, model.training_set(X, y), np.arange(40))
         assert cache.misses == 2
 
     def test_invalidate_clears_state(self):
         model, X, y = self.make_model()
         cache = PerSampleGradCache()
-        cache.get(model, X, y, np.arange(40))
+        cache.get(model, model.training_set(X, y), np.arange(40))
         cache.invalidate()
-        cache.get(model, X, y, np.arange(40))
+        cache.get(model, model.training_set(X, y), np.arange(40))
         assert cache.misses == 2 and cache.hits == 0

@@ -78,10 +78,10 @@ class TestLogisticCalculus:
         y_idx = model.labels_to_indices(y)
 
         def total_loss(t):
-            losses = model._per_sample_losses(t, X, y_idx)
+            losses = model._per_sample_losses(t, model._inputs(X), y_idx)
             return losses.mean() + model.l2 * t @ t
 
-        value, grad = model._data_loss_and_grad(theta, X, y_idx)
+        value, grad = model._data_loss_and_grad(theta, model._inputs(X), y_idx)
         grad = grad + 2 * model.l2 * theta
         np.testing.assert_allclose(grad, fd_grad(total_loss, theta), atol=1e-5)
 
@@ -90,8 +90,8 @@ class TestLogisticCalculus:
         model = fitted_binary_model
         theta = model.get_params()
         y_idx = model.labels_to_indices(y)
-        _, total = model._data_loss_and_grad(theta, X, y_idx)
-        per_sample = model._per_sample_grads(theta, X, y_idx)
+        _, total = model._data_loss_and_grad(theta, model._inputs(X), y_idx)
+        per_sample = model._per_sample_grads(theta, model._inputs(X), y_idx)
         np.testing.assert_allclose(per_sample.mean(axis=0), total, atol=1e-10)
 
     def test_hvp_matches_fd_of_grad(self, binary_problem, fitted_binary_model):
@@ -103,7 +103,7 @@ class TestLogisticCalculus:
         v = rng.normal(size=theta.size)
 
         def reg_grad(t):
-            _, g = model._data_loss_and_grad(t, X, y_idx)
+            _, g = model._data_loss_and_grad(t, model._inputs(X), y_idx)
             return g + 2 * model.l2 * t
 
         eps = 1e-6
@@ -126,7 +126,7 @@ class TestLogisticCalculus:
         weights = rng.normal(size=(X.shape[0], 2))
 
         def weighted_prob(t):
-            return float((model._proba(t, X) * weights).sum())
+            return float((model._proba(t, model._inputs(X)) * weights).sum())
 
         vjp = model.prob_vjp(X, weights)
         np.testing.assert_allclose(vjp, fd_grad(weighted_prob, theta), atol=1e-5)
@@ -163,9 +163,9 @@ class TestSoftmax:
         y_idx = model.labels_to_indices(y)
 
         def loss(t):
-            return model._per_sample_losses(t, X, y_idx).mean()
+            return model._per_sample_losses(t, model._inputs(X), y_idx).mean()
 
-        _, grad = model._data_loss_and_grad(theta, X, y_idx)
+        _, grad = model._data_loss_and_grad(theta, model._inputs(X), y_idx)
         np.testing.assert_allclose(grad, fd_grad(loss, theta), atol=1e-5)
 
     def test_per_sample_grads_sum(self, multiclass_problem, fitted_multiclass_model):
@@ -173,8 +173,8 @@ class TestSoftmax:
         model = fitted_multiclass_model
         theta = model.get_params()
         y_idx = model.labels_to_indices(y)
-        _, total = model._data_loss_and_grad(theta, X, y_idx)
-        per_sample = model._per_sample_grads(theta, X, y_idx)
+        _, total = model._data_loss_and_grad(theta, model._inputs(X), y_idx)
+        per_sample = model._per_sample_grads(theta, model._inputs(X), y_idx)
         np.testing.assert_allclose(per_sample.mean(axis=0), total, atol=1e-10)
 
     def test_hvp_matches_fd(self, multiclass_problem, fitted_multiclass_model):
@@ -185,7 +185,7 @@ class TestSoftmax:
         v = np.random.default_rng(5).normal(size=theta.size)
 
         def reg_grad(t):
-            _, g = model._data_loss_and_grad(t, X, y_idx)
+            _, g = model._data_loss_and_grad(t, model._inputs(X), y_idx)
             return g + 2 * model.l2 * t
 
         eps = 1e-6
@@ -199,7 +199,7 @@ class TestSoftmax:
         weights = np.random.default_rng(6).normal(size=(X.shape[0], 3))
 
         def weighted(t):
-            return float((model._proba(t, X) * weights).sum())
+            return float((model._proba(t, model._inputs(X)) * weights).sum())
 
         np.testing.assert_allclose(
             model.prob_vjp(X, weights), fd_grad(weighted, theta), atol=1e-5

@@ -262,6 +262,23 @@ class TestMemoEdges:
         _assert_matches_fresh(after, fresh, _count_case(plan))
         assert after.scalar() != before.scalar()
 
+    def test_relabelled_runtimes_share_site_features(self, count_db):
+        db, plan = count_db
+        executor = Executor(db)
+        first = executor.execute(plan, debug=True)
+        second = executor.execute(plan, debug=True)
+        shared = first.runtime.site_features()
+        assert second.runtime.site_features() is shared
+        assert executor.execute(plan, debug=True).runtime.site_features() is shared
+        np.testing.assert_array_equal(
+            shared, Executor(db).execute(plan, debug=True).runtime.site_features()
+        )
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0, 0] = 1.0
+        objective = RelaxedComplaintObjective(second, _count_case(plan).complaints)
+        assert objective.X_sites is shared
+
     def test_grown_pool_raises_on_next_hit(self, count_db):
         db, plan = count_db
         executor = Executor(db)
