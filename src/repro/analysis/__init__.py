@@ -1,16 +1,14 @@
 """Static determinism & invariant analysis for the repro codebase.
 
-``repro.analysis`` enforces the parallel-correctness contract *at lint
-time*: every engine generation promises that sharded and array-lowered
-paths produce removal orders bit-identical to the golden references, and the rules here reject the bug classes that have
-historically threatened that promise (id()-keyed caches, unordered
-iteration feeding emission, global RNG, unsynchronized shared writes,
-undeclared env knobs, silent golden-path edits).
+``repro.analysis`` checks *at lint time* that removal orders depend
+only on the inputs and seeds, and that the array-lowered paths stay
+bit-identical to their golden references.  The rules reject the bug
+classes that have threatened that in this repo: id()-keyed caches,
+unordered iteration feeding emission, global RNG, environment reads and
+silent golden-path edits.
 
 Run it as ``python -m repro.analysis`` or ``python -m repro.cli lint``;
 see ``docs/ANALYSIS.md`` for the rule catalogue and suppression syntax.
-:mod:`repro.analysis.knobs` doubles as the runtime registry every
-``REPRO_*`` environment read goes through.
 """
 
 from .engine import (

@@ -1,9 +1,8 @@
 """``python -m repro.analysis`` — the lint entry point.
 
 Exit status: 0 when the tree is clean modulo the checked-in baseline
-and inline suppressions; 1 when any error-severity finding survives
-(``--strict`` also promotes warnings to failures).  CI runs
-``python -m repro.analysis --strict`` before the test matrix.
+and inline suppressions; 1 when any finding survives.  CI runs
+``python -m repro.analysis`` before the test suite.
 """
 
 from __future__ import annotations
@@ -12,12 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import (
-    SEVERITY_ERROR,
-    default_rules,
-    load_baseline,
-    run_analysis,
-)
+from .engine import default_rules, load_baseline, run_analysis
 from .golden import DEFAULT_MANIFEST, update_manifest
 
 DEFAULT_BASELINE = Path(__file__).with_name("baseline.txt")
@@ -36,8 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
         description=(
-            "AST-based determinism & invariant linter enforcing the "
-            "parallel-correctness contract (rules DET001-DET004, KNOB001, "
+            "AST-based determinism & invariant linter: removal orders must "
+            "depend only on inputs and seeds (rules DET001-DET003, KNOB001, "
             "GOLD001)."
         ),
     )
@@ -59,15 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyzer)",
     )
     parser.add_argument(
-        "--strict", action="store_true",
-        help="fail on warnings too, not just errors",
-    )
-    parser.add_argument(
         "--no-golden", action="store_true", help="skip the GOLD001 manifest check"
-    )
-    parser.add_argument(
-        "--no-knob-docs", action="store_true",
-        help="skip the KNOB001 documentation cross-check",
     )
     parser.add_argument(
         "--update-golden", action="store_true",
@@ -87,8 +73,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list_rules:
         for rule in default_rules():
-            print(f"{rule.rule_id} [{rule.severity}] {rule.doc}")
-        print("GOLD001 [error] Golden-path body changed without a manifest "
+            print(f"{rule.rule_id} {rule.doc}")
+        print("GOLD001 Golden-path body changed without a manifest "
               "update, or reference left untested.")
         return 0
 
@@ -108,15 +94,11 @@ def main(argv: list[str] | None = None) -> int:
         baseline=baseline,
         manifest_path=manifest,
         include_golden=not args.no_golden,
-        include_knob_docs=not args.no_knob_docs,
     )
     for finding in report.findings:
         print(finding.format())
     print(report.summary())
-
-    if args.strict:
-        return 1 if report.findings else 0
-    return 1 if any(f.severity == SEVERITY_ERROR for f in report.findings) else 0
+    return 1 if report.findings else 0
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ every node to the rules registered for its type.  Rules see a
 - the dotted qualname of the enclosing function/class for reporting and
   baseline keys.
 
-Findings are :class:`Finding` records (file, line, rule id, severity,
-message).  Two suppression channels exist, both explicit:
+Findings are :class:`Finding` records (file, line, rule id, message);
+every finding fails the run.  Two suppression channels exist, both
+explicit:
 
 - inline ``# repro: ignore[RULE]`` (or ``ignore[RULE1,RULE2]``) on the
   finding's line or on the first line of its enclosing statement —
@@ -23,10 +24,10 @@ message).  Two suppression channels exist, both explicit:
   (:func:`load_baseline`) for bulk grandfathering, ``-`` standing for
   module level.
 
-Project-level checks that need more than one file (GOLD001's manifest
-hashes, KNOB001's documentation cross-check) run after the per-file
-pass; :func:`run_analysis` stitches everything together and is what
-``python -m repro.analysis`` and the self-lint test call.
+The one project-level check that needs more than one file (GOLD001's
+manifest hashes) runs after the per-file pass; :func:`run_analysis`
+stitches everything together and is what ``python -m repro.analysis``
+and the self-lint test call.
 """
 
 from __future__ import annotations
@@ -39,18 +40,14 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-SEVERITY_ERROR = "error"
-SEVERITY_WARNING = "warning"
-
 _IGNORE_RE = re.compile(r"repro:\s*ignore\[([A-Za-z0-9_\s,]+)\]")
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One diagnostic: where, which rule, how severe, and why."""
+    """One diagnostic: where, which rule, and why."""
 
     rule: str
-    severity: str
     path: str  # posix path relative to the analysis root
     line: int
     col: int
@@ -61,7 +58,7 @@ class Finding:
         where = f" (in {self.qualname})" if self.qualname else ""
         return (
             f"{self.path}:{self.line}:{self.col}: {self.rule} "
-            f"[{self.severity}] {self.message}{where}"
+            f"{self.message}{where}"
         )
 
     @property
@@ -74,11 +71,10 @@ class Finding:
 
 
 class Rule:
-    """Base class: subclasses set ``rule_id``/``severity``/``node_types``
-    and implement :meth:`check`, reporting through ``ctx.report``."""
+    """Base class: subclasses set ``rule_id``/``node_types``/``doc`` and
+    implement :meth:`check`, reporting through ``ctx.report``."""
 
     rule_id: str = ""
-    severity: str = SEVERITY_ERROR
     node_types: tuple[type, ...] = ()
     doc: str = ""
 
@@ -296,7 +292,6 @@ class FileContext:
         self.n_inline_suppressed = 0
         self._seen: set[tuple] = set()
         self.in_experiments = "/experiments/" in f"/{path}"
-        self.is_knob_registry = path.endswith("analysis/knobs.py")
 
     # -- tree navigation -----------------------------------------------------
 
@@ -339,13 +334,7 @@ class FileContext:
 
     # -- reporting -------------------------------------------------------------
 
-    def report(
-        self,
-        rule: Rule,
-        node: ast.AST,
-        message: str,
-        severity: str | None = None,
-    ) -> None:
+    def report(self, rule: Rule, node: ast.AST, message: str) -> None:
         lineno = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         check_lines = {lineno, getattr(node, "end_lineno", lineno)}
@@ -363,7 +352,6 @@ class FileContext:
         self.findings.append(
             Finding(
                 rule=rule.rule_id,
-                severity=severity or rule.severity,
                 path=self.path,
                 line=lineno,
                 col=col,
@@ -432,18 +420,9 @@ class AnalysisReport:
     n_files: int = 0
     parse_errors: list[Finding] = field(default_factory=list)
 
-    @property
-    def errors(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity == SEVERITY_ERROR]
-
-    @property
-    def warnings(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity == SEVERITY_WARNING]
-
     def summary(self) -> str:
         return (
-            f"{len(self.findings)} finding(s) "
-            f"({len(self.errors)} error(s), {len(self.warnings)} warning(s)), "
+            f"{len(self.findings)} finding(s), "
             f"{len(self.baselined)} baselined, "
             f"{self.n_inline_suppressed} inline-suppressed, "
             f"{self.n_files} file(s) scanned"
@@ -497,7 +476,6 @@ def run_analysis(
     baseline: set[tuple[str, str, str]] | None = None,
     manifest_path: Path | None = None,
     include_golden: bool = True,
-    include_knob_docs: bool = True,
 ) -> AnalysisReport:
     """The full analyzer: per-file rules, then project-level checks,
     then baseline filtering.  ``paths`` defaults to ``root/src/repro``."""
@@ -519,7 +497,6 @@ def run_analysis(
             report.parse_errors.append(
                 Finding(
                     rule="PARSE",
-                    severity=SEVERITY_ERROR,
                     path=relpath,
                     line=exc.lineno or 1,
                     col=exc.offset or 0,
@@ -540,10 +517,6 @@ def run_analysis(
         from .golden import check_golden
 
         collected.extend(check_golden(root, manifest_path))
-    if include_knob_docs:
-        from .rules import check_knob_docs
-
-        collected.extend(check_knob_docs(root))
 
     baseline = baseline or set()
     for finding in sorted(collected, key=lambda f: f.sort_key):

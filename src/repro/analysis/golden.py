@@ -1,6 +1,6 @@
 """GOLD001: the golden-path guard.
 
-The repo's parallel-correctness contract is anchored on a handful of
+The repo's equivalence guarantees are anchored on a handful of
 *golden reference* implementations — the tree-walking ILP encoder, the
 ``linprog`` LP relaxation oracle, the per-record gradient reference, the
 interpreted objective.  Every fast path is pinned
@@ -31,7 +31,7 @@ import tomllib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import SEVERITY_ERROR, Finding
+from .engine import Finding
 
 DEFAULT_MANIFEST = Path(__file__).with_name("golden_paths.toml")
 
@@ -122,7 +122,6 @@ def check_golden(root: Path, manifest_path: Path | None = None) -> list[Finding]
         return [
             Finding(
                 rule="GOLD001",
-                severity=SEVERITY_ERROR,
                 path=manifest_path.name,
                 line=1,
                 col=0,
@@ -141,7 +140,6 @@ def check_golden(root: Path, manifest_path: Path | None = None) -> list[Finding]
             findings.append(
                 Finding(
                     rule="GOLD001",
-                    severity=SEVERITY_ERROR,
                     path=relpath,
                     line=1,
                     col=0,
@@ -156,7 +154,6 @@ def check_golden(root: Path, manifest_path: Path | None = None) -> list[Finding]
             findings.append(
                 Finding(
                     rule="GOLD001",
-                    severity=SEVERITY_ERROR,
                     path=relpath,
                     line=lineno,
                     col=0,
@@ -172,7 +169,6 @@ def check_golden(root: Path, manifest_path: Path | None = None) -> list[Finding]
             findings.append(
                 Finding(
                     rule="GOLD001",
-                    severity=SEVERITY_ERROR,
                     path=relpath,
                     line=lineno,
                     col=0,

@@ -1,8 +1,9 @@
 """The initial rule pack: this codebase's real nondeterminism hazards.
 
 Each rule targets a bug class that has actually occurred (or nearly
-occurred) in this repo's parallel-correctness history; see
-``docs/ANALYSIS.md`` for the catalogue with worked examples.
+occurred) in this repo and would make removal orders depend on more than
+the inputs and seeds; see ``docs/ANALYSIS.md`` for the catalogue with
+worked examples.
 
 - DET001 — ``id()``-keyed entries in *shared* (attribute / module-level)
   dicts or sets.  The PR 8 ``_aux_cache`` bug class: once the keyed
@@ -16,25 +17,16 @@ occurred) in this repo's parallel-correctness history; see
 - DET003 — module-level / global RNG (``np.random.shuffle``,
   ``random.random``, argless ``default_rng()``) outside ``experiments/``
   instead of a threaded ``Generator``.
-- DET004 — attribute writes to shared (non-local) objects inside
-  callables handed to thread pools without visible lock protection.
-- KNOB001 — direct ``os.environ``/``os.getenv`` reads anywhere but the
-  :mod:`repro.analysis.knobs` registry; plus a project check that every
-  registered knob is documented in README/docs.
+- KNOB001 — environment reads (any use of ``os.environ``, a bare
+  ``environ`` imported from ``os``, or a ``getenv`` call): library code
+  takes every option as an explicit argument.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-from .engine import (
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    FileContext,
-    Finding,
-    Rule,
-)
+from .engine import FileContext, Rule
 
 
 def _dotted_name(node: ast.AST) -> tuple[str, ...] | None:
@@ -69,7 +61,6 @@ def _is_shared_container(ctx: FileContext, expr: ast.AST) -> bool:
 
 class Det001IdKeyedSharedContainer(Rule):
     rule_id = "DET001"
-    severity = SEVERITY_ERROR
     node_types = (ast.Call,)
     doc = (
         "id()-keyed entry in a shared container: ids can be reused after "
@@ -191,7 +182,6 @@ def _body_has_sink(body: list[ast.stmt]) -> ast.AST | None:
 
 class Det002UnorderedIteration(Rule):
     rule_id = "DET002"
-    severity = SEVERITY_ERROR
     node_types = (ast.For, ast.ListComp, ast.GeneratorExp)
     doc = (
         "Iteration over a set (hash order) or a dict view feeding "
@@ -248,7 +238,6 @@ class Det002UnorderedIteration(Rule):
 
 class Det003GlobalRng(Rule):
     rule_id = "DET003"
-    severity = SEVERITY_ERROR
     node_types = (ast.Call,)
     doc = (
         "Module-level / global RNG use outside experiments/: thread a "
@@ -329,181 +318,44 @@ class Det003GlobalRng(Rule):
             )
 
 
-class Det004UnsyncedSharedWrite(Rule):
-    rule_id = "DET004"
-    severity = SEVERITY_WARNING
-    node_types = (ast.Call,)
-    doc = (
-        "Attribute write to a shared object inside a callable submitted "
-        "to a thread pool without lock or ordered-merge protection."
-    )
-
-    _SUBMIT_ATTRS = frozenset({"submit", "submit_train", "submit_execute"})
-
-    def check(self, node: ast.Call, ctx: FileContext) -> None:
-        if not (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in self._SUBMIT_ATTRS
-            and node.args
-        ):
-            return
-        fn_node = self._resolve_callable(ctx, node.args[0])
-        if fn_node is None:
-            return
-        for write in self._unsynced_writes(fn_node):
-            ctx.report(
-                self,
-                write,
-                f"'{_unparse(write)[:60]}' writes a shared attribute inside "
-                "a pool-submitted callable without a lock; merge results on "
-                "the driver (ordered merge) or hold a lock",
-            )
-
-    def _resolve_callable(self, ctx: FileContext, target: ast.AST):
-        if isinstance(target, ast.Lambda):
-            return target
-        name = None
-        if isinstance(target, ast.Name):
-            name = target.id
-        elif isinstance(target, ast.Attribute):
-            name = target.attr
-        if name is None:
-            return None
-        for candidate in ast.walk(ctx.tree):
-            if (
-                isinstance(candidate, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and candidate.name == name
-            ):
-                return candidate
-        return None
-
-    def _unsynced_writes(self, fn_node) -> list[ast.AST]:
-        body = fn_node.body if not isinstance(fn_node, ast.Lambda) else [fn_node.body]
-        local_names: set[str] = set()
-        if not isinstance(fn_node, ast.Lambda):
-            for stmt in body:
-                for sub in ast.walk(stmt):
-                    if isinstance(sub, ast.Name) and isinstance(
-                        sub.ctx, ast.Store
-                    ):
-                        local_names.add(sub.id)
-        writes: list[ast.AST] = []
-        locked_ranges: list[tuple[int, int]] = []
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, (ast.With, ast.AsyncWith)):
-                    for item in sub.items:
-                        if "lock" in _unparse(item.context_expr).lower():
-                            locked_ranges.append(
-                                (sub.lineno, sub.end_lineno or sub.lineno)
-                            )
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                targets: list[ast.AST] = []
-                if isinstance(sub, ast.Assign):
-                    targets = sub.targets
-                elif isinstance(sub, (ast.AugAssign, ast.AnnAssign)):
-                    targets = [sub.target]
-                for tgt in targets:
-                    for attr in ast.walk(tgt):
-                        if not isinstance(attr, ast.Attribute):
-                            continue
-                        base = attr.value
-                        while isinstance(base, ast.Attribute):
-                            base = base.value
-                        if (
-                            isinstance(base, ast.Name)
-                            and base.id in local_names
-                        ):
-                            continue  # worker-private object
-                        line = attr.lineno
-                        if any(
-                            start <= line <= end
-                            for start, end in locked_ranges
-                        ):
-                            continue
-                        writes.append(attr)
-        return writes
-
-
-class Knob001DirectEnvRead(Rule):
+class Knob001EnvironmentRead(Rule):
     rule_id = "KNOB001"
-    severity = SEVERITY_ERROR
-    node_types = (ast.Subscript, ast.Call)
+    node_types = (ast.Attribute, ast.Name, ast.Call)
     doc = (
-        "Direct os.environ / os.getenv access outside the "
-        "repro.analysis.knobs registry."
+        "Environment read (os.environ, environ, getenv): library code "
+        "takes every option as an explicit argument."
     )
 
     def check(self, node: ast.AST, ctx: FileContext) -> None:
-        if ctx.is_knob_registry:
-            return
-        if isinstance(node, ast.Subscript):
-            dotted = _dotted_name(node.value)
-            if dotted in (("os", "environ"), ("environ",)):
-                self._flag(node, ctx, _unparse(node))
-            return
-        dotted = _dotted_name(node.func)
-        if dotted is None:
-            return
-        if dotted in (("os", "getenv"), ("getenv",)):
-            self._flag(node, ctx, _unparse(node.func))
-        elif (
-            len(dotted) >= 2
-            and dotted[-2:] == ("environ", "get")
-            and (len(dotted) == 2 or dotted[0] == "os")
-        ):
-            self._flag(node, ctx, _unparse(node.func))
-
-    def _flag(self, node: ast.AST, ctx: FileContext, what: str) -> None:
-        ctx.report(
-            self,
-            node,
-            f"direct environment read '{what}'; declare the knob in "
-            "repro.analysis.knobs and read it via knobs.read(name)",
-        )
-
-
-def check_knob_docs(root: Path) -> list[Finding]:
-    """KNOB001 project check: every registered knob's env var must appear
-    in README.md or docs/*.md (the satellite documentation contract)."""
-    from . import knobs
-
-    root = Path(root)
-    corpus = ""
-    readme = root / "README.md"
-    if readme.exists():
-        corpus += readme.read_text()
-    docs_dir = root / "docs"
-    if docs_dir.is_dir():
-        for doc in sorted(docs_dir.glob("*.md")):
-            corpus += doc.read_text()
-    if not corpus:
-        # Fixture trees without docs opt out of the documentation check.
-        return []
-    findings = []
-    for knob in knobs.all_knobs():
-        if knob.env_var not in corpus:
-            findings.append(
-                Finding(
-                    rule="KNOB001",
-                    severity=SEVERITY_ERROR,
-                    path="README.md",
-                    line=1,
-                    col=0,
-                    message=(
-                        f"registered knob {knob.name!r} ({knob.env_var}) is "
-                        "not documented in README.md or docs/*.md"
-                    ),
-                )
+        if isinstance(node, ast.Attribute):
+            hit = (
+                node.attr == "environ"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
             )
-    return findings
+        elif isinstance(node, ast.Name):
+            # A bare ``environ`` counts unless the file binds the name to
+            # something other than an import.
+            hit = (
+                node.id == "environ"
+                and isinstance(node.ctx, ast.Load)
+                and ctx.resolve_kind(node) in (None, "module")
+            )
+        else:
+            dotted = _dotted_name(node.func)
+            hit = dotted is not None and dotted[-1] == "getenv"
+        if hit:
+            ctx.report(
+                self,
+                node,
+                f"environment read '{_unparse(node)[:60]}'; library code "
+                "takes every option as an explicit argument",
+            )
 
 
 ALL_RULES: list[type[Rule]] = [
     Det001IdKeyedSharedContainer,
     Det002UnorderedIteration,
     Det003GlobalRng,
-    Det004UnsyncedSharedWrite,
-    Knob001DirectEnvRead,
+    Knob001EnvironmentRead,
 ]

@@ -5,7 +5,7 @@ Usage::
     python -m repro.cli list
     python -m repro.cli run fig3 --out results/
     python -m repro.cli run all --out results/
-    python -m repro.cli lint --strict
+    python -m repro.cli lint
 
 Each experiment prints its result table (the same tables the benchmark
 suite writes under ``benchmarks/out/``) and optionally saves it.
@@ -70,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "lint",
         help="static determinism & invariant analysis; all arguments are "
-        "forwarded to `python -m repro.analysis` (e.g. --strict, "
-        "--list-rules, --update-golden, paths)",
+        "forwarded to `python -m repro.analysis` (e.g. --list-rules, "
+        "--update-golden, paths)",
         add_help=False,
     )
     return parser

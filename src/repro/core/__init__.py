@@ -9,7 +9,6 @@ from .metrics import (
 )
 from .interventions import RelabelDebugger
 from .rain import DebugReport, IterationRecord, RainDebugger
-from .sharding import spawn_generators
 from .rankers import (
     HolisticRanker,
     InfLossRanker,
@@ -31,7 +30,6 @@ __all__ = [
     "IterationRecord",
     "RainDebugger",
     "RelabelDebugger",
-    "spawn_generators",
     "HolisticRanker",
     "InfLossRanker",
     "IterationContext",

@@ -99,12 +99,6 @@ class DebugReport:
 
         return auccr_normalized(recall_curve(self.removal_order, corrupted_indices))
 
-    def mean_iteration_time(self, label: str) -> float:
-        per_iteration = [
-            record.timings.get(label, 0.0) for record in self.iterations
-        ]
-        return float(np.mean(per_iteration)) if per_iteration else 0.0
-
 
 def _timings_since(watch: Stopwatch, before: dict[str, float]) -> dict[str, float]:
     """Per-label seconds ``watch`` accrued since the ``before`` snapshot."""

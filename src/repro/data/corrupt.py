@@ -41,7 +41,6 @@ def corrupt_labels(
     new_label,
     fraction: float,
     rng=None,
-    n_shards: int | None = None,
 ) -> Corruption:
     """Flip ``fraction`` of the records matching ``candidate_mask``.
 
@@ -51,23 +50,9 @@ def corrupt_labels(
         new_label: the (wrong) label to assign.  May also be a callable
             ``old_label -> new_label`` for per-record flips.
         fraction: fraction of candidates to corrupt, in (0, 1].
-        rng: seed or generator; the corrupted subset is sampled uniformly.
-        n_shards: ``None`` (the default) keeps the original single-stream
-            sampling exactly.  A positive integer partitions the candidates
-            into that many contiguous shards and samples each shard with
-            its own child generator spawned via
-            ``np.random.SeedSequence.spawn`` — each shard's draw depends
-            only on (seed, shard index), so workers can corrupt shards in
-            parallel, in any order, under any worker count, and the
-            corrupted subset is bit-identical every time.  Requires an
-            integer seed (a shared ``Generator`` is exactly the
-            nondeterminism being fixed: its state would depend on which
-            worker drew first).
-
-    The global corruption count is preserved under sharding: the total
-    ``max(1, round(fraction * n_candidates))`` is apportioned to shards by
-    largest remainder, so ``n_shards`` changes *which* records are sampled
-    but never *how many*.
+        rng: seed or generator; ``max(1, round(fraction * n_candidates))``
+            candidates are drawn uniformly without replacement, and
+            ``corrupted_indices`` holds them sorted.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
@@ -81,12 +66,8 @@ def corrupt_labels(
     if candidates.size == 0:
         raise ValueError("the corruption predicate matches no records")
     n_corrupt = max(1, int(round(fraction * candidates.size)))
-    if n_shards is None:
-        rng = as_rng(rng)
-        chosen = rng.choice(candidates, size=n_corrupt, replace=False)
-        chosen.sort()
-    else:
-        chosen = _sharded_choice(candidates, n_corrupt, rng, n_shards)
+    chosen = as_rng(rng).choice(candidates, size=n_corrupt, replace=False)
+    chosen.sort()
     y_corrupted = y.copy()
     if callable(new_label):
         for index in chosen:
@@ -99,55 +80,6 @@ def corrupt_labels(
         candidate_indices=candidates,
         fraction=fraction,
     )
-
-
-def _sharded_choice(
-    candidates: np.ndarray, n_corrupt: int, seed, n_shards: int
-) -> np.ndarray:
-    """Sample ``n_corrupt`` of ``candidates`` across independent shards.
-
-    Shard boundaries (``np.array_split`` on the sorted candidate array)
-    and per-shard quotas (largest remainder over exact proportional
-    shares) are pure functions of the candidate set, and each shard draws
-    from its own ``SeedSequence``-spawned generator — nothing here depends
-    on scheduling, so any number of workers consuming the shards in any
-    order reproduces the same subset.
-    """
-    if isinstance(seed, np.random.Generator):
-        raise ValueError(
-            "sharded corruption needs an integer seed, not a shared "
-            "Generator (worker draws from a shared stream are "
-            "order-dependent)"
-        )
-    if n_shards <= 0:
-        raise ValueError(f"n_shards must be positive, got {n_shards}")
-    n_shards = min(int(n_shards), candidates.size)
-    shards = np.array_split(candidates, n_shards)
-
-    sizes = np.asarray([shard.size for shard in shards], dtype=np.int64)
-    exact = n_corrupt * sizes / candidates.size
-    quotas = np.floor(exact).astype(np.int64)
-    np.minimum(quotas, sizes, out=quotas)
-    remainder = n_corrupt - int(quotas.sum())
-    if remainder > 0:
-        # Largest fractional shares first; ties broken by shard index
-        # (stable sort on the negated remainders).
-        order = np.argsort(-(exact - quotas), kind="stable")
-        for index in order:
-            if remainder == 0:
-                break
-            if quotas[index] < sizes[index]:
-                quotas[index] += 1
-                remainder -= 1
-
-    children = np.random.SeedSequence(seed).spawn(n_shards)
-    picks = [
-        np.random.default_rng(child).choice(shard, size=int(quota), replace=False)
-        for shard, quota, child in zip(shards, quotas, children)
-    ]
-    chosen = np.concatenate(picks)
-    chosen.sort()
-    return chosen
 
 
 def corrupt_where_label(

@@ -190,25 +190,6 @@ def join_tuple_complaints(
     return complaints
 
 
-def misprediction_point_complaints(
-    result, left_labels: np.ndarray, right_labels: np.ndarray
-) -> list[PredictionComplaint]:
-    """Unambiguous point complaints on every mispredicted join participant."""
-    complaints: dict[tuple[str, int], PredictionComplaint] = {}
-    for l_row, r_row in join_row_ids(result):
-        left_pred = _prediction_for(result, "L", l_row)
-        right_pred = _prediction_for(result, "R", r_row)
-        if int(left_pred) != int(left_labels[l_row]):
-            complaints[("L", l_row)] = PredictionComplaint(
-                "L", int(l_row), int(left_labels[l_row])
-            )
-        if int(right_pred) != int(right_labels[r_row]):
-            complaints[("R", r_row)] = PredictionComplaint(
-                "R", int(r_row), int(right_labels[r_row])
-            )
-    return list(complaints.values())
-
-
 def join_row_ids(result) -> list[tuple[int, int]]:
     """(left row id, right row id) per concrete join output row."""
     batch = result.candidate_batch

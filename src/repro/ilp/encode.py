@@ -415,9 +415,6 @@ class TiresiasEncoder:
             if label != self.current_labels[site_id]
         ]
 
-    def changed_count(self, solution: ILPSolution) -> int:
-        return len(self.marked_mispredictions(solution))
-
 
 class CompiledILPEncoder(TiresiasEncoder):
     """Array-native TwoStep encoder over a compiled provenance pool.

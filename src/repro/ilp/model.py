@@ -15,7 +15,7 @@ rather than per-coefficient Python loops.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,11 +144,6 @@ class BinaryProgram:
         self._validate_indices(coeffs)
         self._objective = {int(k): float(v) for k, v in coeffs.items() if v != 0.0}
         self.objective_constant = float(constant)
-        self._objective_arrays = None
-
-    def add_objective_term(self, index: int, coeff: float) -> None:
-        self._validate_indices({index: coeff})
-        self._objective[index] = self._objective.get(index, 0.0) + float(coeff)
         self._objective_arrays = None
 
     @property

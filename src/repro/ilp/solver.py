@@ -159,9 +159,6 @@ class ILPSolution:
     objective: float
     nodes_explored: int
 
-    def as_bools(self) -> np.ndarray:
-        return self.values > 0.5
-
 
 def _lp_relaxation(
     program: BinaryProgram, extra_fixed: dict[int, int]

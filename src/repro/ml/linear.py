@@ -127,11 +127,6 @@ class LogisticRegression(ClassificationModel):
         coeff = (weights[:, 1] - weights[:, 0]) * p1 * (1.0 - p1)
         return Xa.T @ coeff
 
-    def decision_values(self, X: np.ndarray) -> np.ndarray:
-        """Raw margins ``xᵀθ`` (used by tests and diagnostics)."""
-        params = self.get_params()
-        return self._inputs(X) @ params
-
 
 class SoftmaxRegression(ClassificationModel):
     """Multinomial logistic regression over K classes.

@@ -154,7 +154,3 @@ def plan_relations(plan: Plan) -> list[Scan]:
     if isinstance(plan, Aggregate):
         return plan_relations(plan.child)
     raise QueryError(f"unknown plan node {type(plan).__name__}")
-
-
-def is_aggregate_plan(plan: Plan) -> bool:
-    return isinstance(plan, Aggregate)

@@ -444,14 +444,6 @@ class NodePool:
         offsets = np.arange(n + 1, dtype=np.int64) * 2
         return self._append_bulk(OP_DIV, n, child_flat, offsets)
 
-    def linear_sum(self, terms: Sequence[tuple[float, int]]) -> int:
-        """A single ``Σ coeff·cond`` node from (coeff, node) pairs."""
-        children = [node for _, node in terms]
-        coeffs = [coeff for coeff, _ in terms]
-        if not children:
-            return self._append_scalar(OP_CONST, value=0.0)
-        return self._append_scalar(OP_ADD, children=children, coeffs=coeffs)
-
     # -- compiling existing expression trees ------------------------------------------
 
     def add_expr(self, expr: prov.BoolExpr | prov.NumExpr) -> int:
@@ -615,9 +607,6 @@ class NodePool:
                 terms.append(value)
             return prov.add_(*terms)
         raise ProvenanceError(f"unknown opcode {op}")
-
-    def is_bool_node(self, node: int) -> bool:
-        return self._is_bool[int(node)]
 
     def linear_frontier_terms(
         self, node: int
@@ -959,11 +948,6 @@ class CompiledProvenance:
         self._atom_labels = frozen.label[self._atom_nodes]
 
     # -- leaves -------------------------------------------------------------------
-
-    @property
-    def atom_sites(self) -> np.ndarray:
-        """Site ids of every atom reachable from the roots."""
-        return self._atom_sites
 
     def atom_columns(self, class_columns: Mapping[object, int]) -> np.ndarray:
         """Map each reachable atom's label to a column of ``P``."""

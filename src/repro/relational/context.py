@@ -21,7 +21,7 @@ execution's sites under the current models without re-executing it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -557,8 +557,3 @@ class TupleBatch:
 def empty_like(batch: TupleBatch) -> TupleBatch:
     """An empty batch with the same schema as ``batch``."""
     return batch.take(np.array([], dtype=np.int64))
-
-
-def stack_columns(column: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack per-row feature cells back into a single array."""
-    return np.stack(list(column), axis=0)

@@ -60,7 +60,7 @@ for every output cell of the query at once.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -594,28 +594,3 @@ def pred_value(site_id: int, class_values: Iterable[tuple[ClassLabel, float]]) -
     """
     terms = [(float(value), PredIs(site_id, label)) for label, value in class_values]
     return LinearSum(terms)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized evaluation helpers
-# ---------------------------------------------------------------------------
-
-
-def evaluate_bool_batch(
-    exprs: Sequence[BoolExpr], assignment: Assignment
-) -> np.ndarray:
-    """Evaluate many boolean expressions under one assignment."""
-    return np.array([expr.evaluate(assignment) for expr in exprs], dtype=bool)
-
-
-def assignment_from_predictions(
-    sites: Sequence[InferenceSite], predictions: Mapping[tuple[str, str, int], ClassLabel]
-) -> dict[int, ClassLabel]:
-    """Build a ``site_id -> class`` assignment from keyed predictions."""
-    out: dict[int, ClassLabel] = {}
-    for site in sites:
-        try:
-            out[site.site_id] = predictions[site.key]
-        except KeyError as exc:
-            raise ProvenanceError(f"missing prediction for site {site.key}") from exc
-    return out

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Iterable, Sequence
 from typing import TypeVar
@@ -94,29 +93,22 @@ class Stopwatch:
 
     Used by the experiment harness to reproduce the paper's
     Train/Encode/Rank per-iteration runtime breakdown (Figures 5 and 12).
-
-    Thread-safe: accumulation and ``as_dict`` snapshots take a lock, so
-    several threads may charge one stopwatch.  A label may only be
-    *started* by one thread at a time.
     """
 
     def __init__(self) -> None:
         self.totals: dict[str, float] = {}
         self.counts: dict[str, int] = {}
         self._started: dict[str, float] = {}
-        self._lock = threading.Lock()
 
     def start(self, label: str) -> None:
-        with self._lock:
-            self._started[label] = time.perf_counter()
+        self._started[label] = time.perf_counter()
 
     def stop(self, label: str) -> float:
-        with self._lock:
-            if label not in self._started:
-                raise KeyError(f"Stopwatch label {label!r} was never started")
-            elapsed = time.perf_counter() - self._started.pop(label)
-            self.totals[label] = self.totals.get(label, 0.0) + elapsed
-            self.counts[label] = self.counts.get(label, 0) + 1
+        if label not in self._started:
+            raise KeyError(f"Stopwatch label {label!r} was never started")
+        elapsed = time.perf_counter() - self._started.pop(label)
+        self.totals[label] = self.totals.get(label, 0.0) + elapsed
+        self.counts[label] = self.counts.get(label, 0) + 1
         return elapsed
 
     def time(self, label: str):
@@ -130,8 +122,7 @@ class Stopwatch:
         return self.totals[label] / self.counts[label]
 
     def as_dict(self) -> dict[str, float]:
-        with self._lock:
-            return dict(self.totals)
+        return dict(self.totals)
 
 
 class _StopwatchContext:

@@ -96,7 +96,6 @@ class TestFinding:
     def test_format_and_keys(self):
         finding = Finding(
             rule="DET001",
-            severity="error",
             path="src/repro/ilp/encode.py",
             line=42,
             col=8,
@@ -179,13 +178,11 @@ def _write_project(tmp_path, body):
 class TestMain:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         root = _write_project(tmp_path, "def f(x):\n    return x\n")
-        rc = analysis_main(
-            ["--root", str(root), "--strict", "--no-golden", "--no-knob-docs"]
-        )
+        rc = analysis_main(["--root", str(root), "--no-golden"])
         assert rc == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
-    def test_error_finding_fails_without_strict(self, tmp_path, capsys):
+    def test_any_finding_exits_one(self, tmp_path, capsys):
         root = _write_project(
             tmp_path,
             """
@@ -194,31 +191,9 @@ class TestMain:
                     return self._cache[id(k)]
             """,
         )
-        rc = analysis_main(["--root", str(root), "--no-golden", "--no-knob-docs"])
+        rc = analysis_main(["--root", str(root), "--no-golden"])
         assert rc == 1
         assert "DET001" in capsys.readouterr().out
-
-    def test_warning_passes_unless_strict(self, tmp_path, capsys):
-        root = _write_project(
-            tmp_path,
-            """
-            def worker(item):
-                shared.total += item
-
-            def serve(pool, items):
-                pool.submit(worker, items)
-            """,
-        )
-        relaxed = analysis_main(
-            ["--root", str(root), "--no-golden", "--no-knob-docs"]
-        )
-        strict = analysis_main(
-            ["--root", str(root), "--strict", "--no-golden", "--no-knob-docs"]
-        )
-        out = capsys.readouterr().out
-        assert relaxed == 0
-        assert strict == 1
-        assert "DET004" in out
 
     def test_baseline_filters_findings(self, tmp_path):
         root = _write_project(
@@ -235,14 +210,14 @@ class TestMain:
             [
                 "--root", str(root),
                 "--baseline", str(baseline),
-                "--strict", "--no-golden", "--no-knob-docs",
+                "--no-golden",
             ]
         )
         assert rc == 0
 
     def test_syntax_error_is_reported(self, tmp_path, capsys):
         root = _write_project(tmp_path, "def broken(:\n")
-        rc = analysis_main(["--root", str(root), "--no-golden", "--no-knob-docs"])
+        rc = analysis_main(["--root", str(root), "--no-golden"])
         assert rc == 1
         assert "syntax error" in capsys.readouterr().out
 
@@ -250,7 +225,7 @@ class TestMain:
         rc = analysis_main(["--list-rules"])
         out = capsys.readouterr().out
         assert rc == 0
-        for rule_id in ("DET001", "DET002", "DET003", "DET004", "KNOB001", "GOLD001"):
+        for rule_id in ("DET001", "DET002", "DET003", "KNOB001", "GOLD001"):
             assert rule_id in out
 
     def test_cli_lint_subcommand_forwards(self, capsys):

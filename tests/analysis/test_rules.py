@@ -325,94 +325,7 @@ class TestDet003:
         assert found == []
 
 
-# -- DET004: unsynchronized shared writes in pool-submitted callables --------
-
-
-class TestDet004:
-    def test_shared_attribute_write_in_submitted_function(self):
-        found = findings_for(
-            """
-            def worker(item):
-                shared.total += item.cost
-
-            def serve(pool, items):
-                for item in items:
-                    pool.submit(worker, item)
-            """,
-            "DET004",
-        )
-        assert len(found) == 1
-        assert found[0].severity == "warning"
-
-    def test_pipeline_stage_method_write(self):
-        found = findings_for(
-            """
-            def train_stage(model, X, y):
-                model.params = fit(X, y)
-
-            def run(pipe, model, X, y):
-                pipe.submit_train(train_stage, model, X, y)
-            """,
-            "DET004",
-        )
-        assert len(found) == 1
-
-    def test_lock_protected_write_is_clean(self):
-        found = findings_for(
-            """
-            def worker(item):
-                with stats_lock:
-                    shared.total += item.cost
-
-            def serve(pool, items):
-                for item in items:
-                    pool.submit(worker, item)
-            """,
-            "DET004",
-        )
-        assert found == []
-
-    def test_worker_local_object_is_clean(self):
-        found = findings_for(
-            """
-            def worker(item):
-                stats = Stats()
-                stats.count += 1
-                return stats
-
-            def serve(pool, items):
-                for item in items:
-                    pool.submit(worker, item)
-            """,
-            "DET004",
-        )
-        assert found == []
-
-    def test_unsubmitted_function_is_clean(self):
-        found = findings_for(
-            """
-            def driver(model, X, y):
-                model.params = fit(X, y)
-            """,
-            "DET004",
-        )
-        assert found == []
-
-    def test_inline_suppression(self):
-        found = findings_for(
-            """
-            def worker(item):
-                shared.total += item.cost  # repro: ignore[DET004] — merged on driver
-
-            def serve(pool, items):
-                pool.submit(worker, items)
-            """,
-            "DET004",
-        )
-        assert found == []
-
-
-# -- KNOB001: direct environment reads ---------------------------------------
+# -- KNOB001: environment reads ----------------------------------------------
 
 
 class TestKnob001:
@@ -424,26 +337,48 @@ class TestKnob001:
             'os.getenv("REPRO_FOO")',
             'environ["REPRO_FOO"]',
             'environ.get("REPRO_FOO")',
+            '"REPRO_FOO" in os.environ',
+            "dict(os.environ)",
+            "os.environ.items()",
+            'os.environ.setdefault("REPRO_FOO", "0")',
         ],
     )
     def test_direct_reads(self, expr):
         found = findings_for(f"def f():\n    return {expr}\n", "KNOB001")
         assert len(found) == 1
-        assert "knobs.read" in found[0].message
+        assert "explicit argument" in found[0].message
 
-    def test_registry_read_is_clean(self):
+    def test_non_environment_call_is_clean(self):
         found = findings_for(
-            "def f():\n    return knobs.read('n_workers')\n", "KNOB001"
+            "def f(config):\n    return config.get('n_workers')\n", "KNOB001"
         )
         assert found == []
 
-    def test_knob_registry_module_is_exempt(self):
+    def test_environ_imported_from_os(self):
+        found = findings_for(
+            """
+            from os import environ
+
+            def f():
+                return dict(environ)
+            """,
+            "KNOB001",
+        )
+        assert len(found) == 1
+
+    def test_locally_bound_environ_is_clean(self):
+        found = findings_for(
+            "def f(environ):\n    return environ.get('n_workers')\n", "KNOB001"
+        )
+        assert found == []
+
+    def test_former_registry_module_is_not_exempt(self):
         found = findings_for(
             "def read(name):\n    return os.environ.get(name, '')\n",
             "KNOB001",
             path="src/repro/analysis/knobs.py",
         )
-        assert found == []
+        assert len(found) == 1
 
     def test_inline_suppression(self):
         found = findings_for(

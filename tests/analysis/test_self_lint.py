@@ -1,7 +1,7 @@
 """The analyzer applied to its own repository.
 
 The shipped tree must be clean modulo the checked-in baseline — this is
-the same gate CI runs via ``python -m repro.analysis --strict``, kept
+the same gate CI runs via ``python -m repro.analysis``, kept
 in the test suite so a plain ``pytest`` run catches regressions without
 the extra CI job.
 """

@@ -5,8 +5,8 @@ executor with an empty lineage memo), must replay the first bit-for-bit
 — removal order, per-iteration removal sets, satisfied flags, stop
 reason, final fitted parameters.  The shared ``DeterminismHarness``
 fixture pins this over methods × datasets and through the loop's early
-exits (``stop_when_satisfied``, ``no_signal``).  Plan fingerprints and
-the per-shard generators must be pure functions of their inputs.
+exits (``stop_when_satisfied``, ``no_signal``).  Plan fingerprints must
+be pure functions of their inputs.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ import pytest
 
 from repro.complaints import ComplaintCase, ValueComplaint
 from repro.core import WarmStartState
-from repro.core.sharding import spawn_generators
 from repro.experiments.common import build_dblp_setting
 from repro.experiments.fig8_multiquery import build_adult_setting
 from repro.relational import plan_sql
@@ -177,13 +176,6 @@ class TestPlanFingerprint:
             )
         }
         assert len(prints) == 4
-
-
-class TestShardHelpers:
-    def test_spawn_generators_worker_invariant(self):
-        draws_a = [g.integers(1000) for g in spawn_generators(7, 4)]
-        draws_b = [g.integers(1000) for g in reversed(spawn_generators(7, 4))]
-        assert draws_a == list(reversed(draws_b))
 
 
 class TestWarmStartStateEdgeCases:

@@ -18,9 +18,9 @@ from repro.complaints import ComplaintCase, TupleComplaint, ValueComplaint
 from repro.complaints.complaint import all_satisfied_columnar
 from repro.core import RainDebugger
 from repro.errors import ProvenanceError
+from repro.data import corrupt_labels, make_adult, section65_predicate
 from repro.experiments.common import build_dblp_setting
-from repro.experiments.fig8_multiquery import build_adult_setting
-from repro.experiments.serving import build_serving_setting
+from repro.experiments.fig8_multiquery import Q6, Q7, build_adult_setting
 from repro.ml import LogisticRegression
 from repro.relational import Database, Executor, Relation
 from repro.relational.compile import CompiledProvenance
@@ -54,6 +54,39 @@ def _adult_group_by():
     setting = build_adult_setting(0.5, n_train=200, n_query=300, seed=0)
     return (setting.database, "income", setting.X_train, setting.y_corrupted,
             [setting.gender_case, setting.age_case])
+
+
+def _adult_multi_case():
+    """One AVG complaint per group of Q6 and Q7: twelve cases, two plans."""
+    ds = make_adult(n_train=120, n_query=300, seed=0)
+    predicate = section65_predicate(ds.y_train, ds.age_train, ds.gender_train)
+    corruption = corrupt_labels(ds.y_train, predicate, 1, 0.5, rng=1)
+    model = LogisticRegression((0, 1), n_features=ds.X_train.shape[1], l2=1e-3)
+    model.fit(ds.X_train, corruption.y_corrupted, warm_start=False)
+    db = Database()
+    db.add_relation(
+        Relation(
+            "adult",
+            {
+                "features": ds.X_query,
+                "gender": ds.gender_query,
+                "agedecade": ds.age_query,
+            },
+        )
+    )
+    db.add_model("income", model)
+    cases = []
+    for query, groups in ((Q6, ds.gender_query), (Q7, ds.age_query)):
+        for key in sorted(np.unique(groups).tolist()):
+            truth = float(np.mean(ds.y_query[groups == key]))
+            cases.append(
+                ComplaintCase(
+                    query,
+                    [ValueComplaint(column="avg", op="=", value=truth,
+                                    group_key=(key,))],
+                )
+            )
+    return db, "income", ds.X_train, corruption.y_corrupted, cases
 
 
 def _predicted_join():
@@ -179,8 +212,8 @@ class TestMemoMatchesFreshExecution:
         assert any(len(set(seen)) > 1 for seen in outputs.values())
 
     def test_iteration_records_lineage_reuse(self, monkeypatch):
-        setting = build_serving_setting(0.5, n_train=120, n_query=300, seed=0)
-        assert (len(setting.cases), setting.n_distinct_plans) == (12, 2)
+        db, model_name, X, y, cases = _adult_multi_case()
+        assert (len(cases), len({case.query for case in cases})) == (12, 2)
         probabilities = RelaxedComplaintObjective.probabilities
         calls = []
 
@@ -190,8 +223,7 @@ class TestMemoMatchesFreshExecution:
 
         monkeypatch.setattr(RelaxedComplaintObjective, "probabilities", counted)
         report = RainDebugger(
-            setting.database, "income", setting.X_train, setting.y_corrupted,
-            setting.cases, method="holistic", rng=0,
+            db, model_name, X, y, cases, method="holistic", rng=0,
         ).run(max_removals=20, k_per_iteration=5)
         first, *later = [record.diagnostics["lineage"] for record in report.iterations]
         assert first == {"hits": 10, "misses": 2}
