@@ -195,6 +195,54 @@ class TestMain:
         assert rc == 1
         assert "DET001" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "rule_id, body",
+        [
+            pytest.param(
+                "DET002",
+                """
+                def emit(items, out):
+                    for item in set(items):
+                        out.append(item)
+                """,
+                id="DET002",
+            ),
+            pytest.param(
+                "DET003",
+                """
+                import numpy as np
+
+                def shuffle(order):
+                    np.random.shuffle(order)
+                """,
+                id="DET003",
+            ),
+            pytest.param(
+                "KNOB001",
+                """
+                import os
+
+                def n_workers():
+                    return int(os.environ.get("REPRO_WORKERS", "1"))
+                """,
+                id="KNOB001",
+            ),
+        ],
+    )
+    def test_every_rule_fails_the_run(self, tmp_path, capsys, rule_id, body):
+        root = _write_project(tmp_path, body)
+        rc = analysis_main(["--root", str(root), "--no-golden"])
+        assert rc == 1
+        assert rule_id in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--strict", "--no-knob-docs"])
+    def test_removed_flags_are_rejected(self, tmp_path, capsys, flag):
+        root = _write_project(tmp_path, "def f(x):\n    return x\n")
+        with pytest.raises(SystemExit) as exc:
+            analysis_main(["--root", str(root), "--no-golden", flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_baseline_filters_findings(self, tmp_path):
         root = _write_project(
             tmp_path,
@@ -234,3 +282,13 @@ class TestMain:
         rc = cli_main(["lint", "--list-rules"])
         assert rc == 0
         assert "DET001" in capsys.readouterr().out
+
+    def test_cli_lint_forwards_failing_exit(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        root = _write_project(
+            tmp_path, "import os\n\nDEBUG = os.getenv('REPRO_DEBUG')\n"
+        )
+        rc = cli_main(["lint", "--root", str(root), "--no-golden"])
+        assert rc == 1
+        assert "KNOB001" in capsys.readouterr().out

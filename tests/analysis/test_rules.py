@@ -341,12 +341,76 @@ class TestKnob001:
             "dict(os.environ)",
             "os.environ.items()",
             'os.environ.setdefault("REPRO_FOO", "0")',
+            "{**os.environ}",
+            "os.environ.copy()",
+            'os.environ.pop("REPRO_FOO", None)',
+            "list(os.environ)",
         ],
     )
     def test_direct_reads(self, expr):
         found = findings_for(f"def f():\n    return {expr}\n", "KNOB001")
         assert len(found) == 1
         assert "explicit argument" in found[0].message
+
+    @pytest.mark.parametrize(
+        "stmt",
+        [
+            'os.environ["REPRO_FOO"] = "1"',
+            'del os.environ["REPRO_FOO"]',
+            'os.environ.update(REPRO_FOO="1")',
+        ],
+    )
+    def test_environment_writes(self, stmt):
+        found = findings_for(f"def f():\n    {stmt}\n", "KNOB001")
+        assert len(found) == 1
+
+    def test_getenv_imported_from_os(self):
+        found = findings_for(
+            """
+            from os import getenv
+
+            def f():
+                return getenv("REPRO_FOO")
+            """,
+            "KNOB001",
+        )
+        assert len(found) == 1
+
+    def test_any_getenv_call(self):
+        found = findings_for(
+            "def f(config):\n    return config.getenv('REPRO_FOO')\n", "KNOB001"
+        )
+        assert len(found) == 1
+
+    def test_module_level_read(self):
+        found = findings_for(
+            """
+            import os
+
+            TIMEOUT = os.getenv("REPRO_TIMEOUT")
+            """,
+            "KNOB001",
+        )
+        assert [(f.line, f.col) for f in found] == [(4, 10)]
+
+    def test_environ_attribute_of_other_object_is_clean(self):
+        found = findings_for(
+            "def f(settings):\n    return settings.environ['n_workers']\n",
+            "KNOB001",
+        )
+        assert found == []
+
+    def test_module_bound_environ_is_clean(self):
+        found = findings_for(
+            """
+            environ = load_config()
+
+            def f():
+                return environ.get("n_workers")
+            """,
+            "KNOB001",
+        )
+        assert found == []
 
     def test_non_environment_call_is_clean(self):
         found = findings_for(

@@ -226,3 +226,25 @@ class TestCorruption:
         mask[:3] = True
         corruption = corrupt_labels(y, mask, 1, 1.0, rng=0)
         np.testing.assert_array_equal(corruption.corrupted_indices, [0, 1, 2])
+
+    def test_single_stream_draw(self):
+        y = np.zeros(100, dtype=int)
+        mask = np.zeros(100, dtype=bool)
+        mask[::3] = True
+        corruption = corrupt_labels(y, mask, 1, 0.25, rng=3)
+        candidates = np.flatnonzero(mask)
+        expected = np.random.default_rng(3).choice(
+            candidates, size=round(0.25 * candidates.size), replace=False
+        )
+        np.testing.assert_array_equal(
+            corruption.corrupted_indices, np.sort(expected)
+        )
+
+    def test_generator_matches_integer_seed(self):
+        y = np.zeros(50, dtype=int)
+        mask = np.ones(50, dtype=bool)
+        seeded = corrupt_labels(y, mask, 1, 0.5, rng=9)
+        generator = corrupt_labels(y, mask, 1, 0.5, rng=np.random.default_rng(9))
+        np.testing.assert_array_equal(
+            seeded.corrupted_indices, generator.corrupted_indices
+        )

@@ -90,6 +90,22 @@ class TestStopwatch:
         assert watch.totals["a"] >= 0
         assert watch.mean("a") >= 0
 
+    def test_nested_labels(self):
+        watch = Stopwatch()
+        with watch.time("outer"):
+            with watch.time("inner"):
+                pass
+        assert watch.counts == {"outer": 1, "inner": 1}
+        assert watch.totals["outer"] >= watch.totals["inner"]
+
+    def test_stop_returns_elapsed_and_clears_start(self):
+        watch = Stopwatch()
+        watch.start("a")
+        elapsed = watch.stop("a")
+        assert elapsed == watch.totals["a"]
+        with pytest.raises(KeyError):
+            watch.stop("a")
+
     def test_unknown_stop_raises(self):
         with pytest.raises(KeyError):
             Stopwatch().stop("ghost")
