@@ -137,6 +137,9 @@ class Scope:
         self.name = name
         self.bound: set[str] = set()
         self.kinds: dict[str, str] = {}
+        # name -> dotted target of the import that binds it
+        # (``import os as system`` gives ``system -> os``).
+        self.imports: dict[str, str] = {}
 
     def bind(self, name: str, kind: str | None = None) -> None:
         self.bound.add(name)
@@ -185,9 +188,17 @@ def _collect_bindings(scope: Scope, body: list[ast.stmt]) -> None:
             scope.bind(stmt.target.id, kind)
         elif isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
             scope.bind(stmt.target.id)
-        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        elif isinstance(stmt, ast.Import):
             for alias in stmt.names:
-                scope.bind((alias.asname or alias.name).split(".")[0], "module")
+                name = alias.asname or alias.name.split(".")[0]
+                scope.bind(name, "module")
+                scope.imports[name] = alias.name if alias.asname else name
+        elif isinstance(stmt, ast.ImportFrom):
+            module = "." * stmt.level + (stmt.module or "")
+            for alias in stmt.names:
+                name = alias.asname or alias.name
+                scope.bind(name, "module")
+                scope.imports[name] = f"{module}.{alias.name}"
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             for name in _binding_names(stmt.target):
                 scope.bind(name)
@@ -320,6 +331,17 @@ class FileContext:
                     return scope.kinds.get(expr.id, "unknown")
         return None
 
+    def import_target(self, name: str) -> str | None:
+        """The dotted name an import binds ``name`` to (``"os"`` after
+        ``import os as system``), or None when the innermost scope that
+        binds ``name`` binds it to anything else, or nothing binds it."""
+        for scope in reversed(self.scope_stack):
+            if name in scope.bound:
+                if scope.kinds.get(name) != "module":
+                    return None
+                return scope.imports.get(name)
+        return None
+
     def is_module_global(self, name: str) -> bool:
         """True when ``name`` resolves to a module-scope binding."""
         for scope in reversed(self.scope_stack):
@@ -402,11 +424,18 @@ def analyze_source(
     point).  Returns the full :class:`FileContext` for inspection."""
     rules = default_rules() if rules is None else rules
     tree = ast.parse(source, filename=path)
+    return _analyze_tree(path, source, tree, _rule_table(rules))
+
+
+def _analyze_tree(
+    path: str, source: str, tree: ast.Module, table: dict[type, list[Rule]]
+) -> FileContext:
+    """The per-file pass over a parsed module: both entry points run it."""
     ctx = FileContext(path, source, tree)
     module_scope = Scope(tree, "")
     _collect_bindings(module_scope, tree.body)
     ctx.scope_stack.append(module_scope)
-    _walk(tree, ctx, _rule_table(rules))
+    _walk(tree, ctx, table)
     return ctx
 
 
@@ -504,11 +533,7 @@ def run_analysis(
                 )
             )
             continue
-        ctx = FileContext(relpath, source, tree)
-        module_scope = Scope(tree, "")
-        _collect_bindings(module_scope, tree.body)
-        ctx.scope_stack.append(module_scope)
-        _walk(tree, ctx, table)
+        ctx = _analyze_tree(relpath, source, tree, table)
         collected.extend(ctx.findings)
         report.n_inline_suppressed += ctx.n_inline_suppressed
         report.n_files += 1

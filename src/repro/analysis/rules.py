@@ -17,9 +17,10 @@ worked examples.
 - DET003 — module-level / global RNG (``np.random.shuffle``,
   ``random.random``, argless ``default_rng()``) outside ``experiments/``
   instead of a threaded ``Generator``.
-- KNOB001 — environment reads (any use of ``os.environ``, a bare
-  ``environ`` imported from ``os``, or a ``getenv`` call): library code
-  takes every option as an explicit argument.
+- KNOB001 — environment reads (any use of ``os.environ`` or
+  ``os.environb``, also through an import alias, a bare ``environ``
+  imported from ``os``, or a ``getenv`` call): library code takes every
+  option as an explicit argument.
 """
 
 from __future__ import annotations
@@ -126,9 +127,6 @@ ORDER_SENSITIVE_SINKS = frozenset(
         "add_dense_constraint",
         "add_row",
         "add_complaints",
-        "submit",
-        "submit_train",
-        "submit_execute",
         "put",
         "write",
         "writerow",
@@ -318,32 +316,43 @@ class Det003GlobalRng(Rule):
             )
 
 
+#: The environment mappings of the ``os`` module.
+_ENVIRON_NAMES = frozenset({"environ", "environb"})
+
+
 class Knob001EnvironmentRead(Rule):
     rule_id = "KNOB001"
     node_types = (ast.Attribute, ast.Name, ast.Call)
     doc = (
-        "Environment read (os.environ, environ, getenv): library code "
-        "takes every option as an explicit argument."
+        "Environment read (os.environ, os.environb, environ, getenv): "
+        "library code takes every option as an explicit argument."
     )
 
     def check(self, node: ast.AST, ctx: FileContext) -> None:
         if isinstance(node, ast.Attribute):
+            # ``os.environ``, also through an alias (``import os as system``).
             hit = (
-                node.attr == "environ"
+                node.attr in _ENVIRON_NAMES
                 and isinstance(node.value, ast.Name)
-                and node.value.id == "os"
+                and "os" in (node.value.id, ctx.import_target(node.value.id))
             )
         elif isinstance(node, ast.Name):
             # A bare ``environ`` counts unless the file binds the name to
-            # something other than an import.
-            hit = (
-                node.id == "environ"
-                and isinstance(node.ctx, ast.Load)
-                and ctx.resolve_kind(node) in (None, "module")
+            # something other than an import; any name imported from
+            # ``os.environ`` counts too.
+            hit = isinstance(node.ctx, ast.Load) and (
+                (
+                    node.id in _ENVIRON_NAMES
+                    and ctx.resolve_kind(node) in (None, "module")
+                )
+                or ctx.import_target(node.id) in ("os.environ", "os.environb")
             )
         else:
             dotted = _dotted_name(node.func)
-            hit = dotted is not None and dotted[-1] == "getenv"
+            hit = dotted is not None and (
+                dotted[-1] == "getenv"
+                or (len(dotted) == 1 and ctx.import_target(dotted[0]) == "os.getenv")
+            )
         if hit:
             ctx.report(
                 self,

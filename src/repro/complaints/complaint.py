@@ -267,17 +267,16 @@ def all_satisfied_columnar(
     tree from the node pool before evaluating it — at serving scale that
     costs as much as executing the query again.  Here all complaint node
     ids over one result are evaluated in a single vectorized discrete
-    forward pass (:class:`~repro.relational.compile.CompiledProvenance`
-    over the already-frozen pool, fed the dense site-label array), with
-    the same per-complaint satisfaction predicates applied to the root
-    values.  Prediction complaints and tree-mode results fall back to the
-    per-complaint path.
+    forward pass (the result's
+    :meth:`~repro.relational.executor.QueryResult.program` over the
+    already-frozen pool, built once per lineage and node set, fed the
+    dense site-label array), with the same per-complaint satisfaction
+    predicates applied to the root values.  Prediction complaints and
+    tree-mode results fall back to the per-complaint path.
 
     This is the Rain loop's satisfaction check; :func:`all_satisfied`
     stays as the test oracle it is pinned against.
     """
-    from ..relational.compile import CompiledProvenance
-
     grouped: dict[int, tuple[QueryResult, list[int], list[Complaint]]] = {}
     for case, result in case_results:
         for complaint in case.complaints:
@@ -292,9 +291,7 @@ def all_satisfied_columnar(
             entry[1].append(node)
             entry[2].append(complaint)
     for result, nodes, complaints in grouped.values():
-        program = CompiledProvenance(
-            result.pool, np.asarray(nodes, dtype=np.int64)
-        )
+        program = result.program(np.asarray(nodes, dtype=np.int64))
         values = program.evaluate_labels(result.runtime.site_label_ids(result.pool))
         for value, complaint in zip(values, complaints):
             if not _value_satisfied(complaint, float(value)):

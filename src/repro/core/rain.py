@@ -12,7 +12,11 @@ queries sharing the model), :class:`RainDebugger` iterates:
    depend on the model, so the executor builds it once per plan and each
    iteration re-labels it: one ``model.predict`` per run of inference
    sites and one evaluation of the output (the paper's §5.1 instead
-   reruns the query in debug mode, since its DBMS is a black box);
+   reruns the query in debug mode, since its DBMS is a black box).  The
+   loop still executes once per case, but the cases over one plan get
+   the one result labelled after this iteration's fit, and the programs
+   their relaxed objectives and drain build over its pool are built once
+   per session;
 3. **rank** — score the active training records with the configured
    approach (Loss / InfLoss / TwoStep / Holistic);
 4. **fix** — delete the top-k records and repeat.

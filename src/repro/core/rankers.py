@@ -154,7 +154,8 @@ class HolisticRanker(Ranker):
     and its gradient drives one scalar influence solve — the paper's
     formulation, also for the multi-query runs of Section 6.5.
 
-    Cases over one plan share one probability-matrix evaluation; the
+    Cases over one plan share one probability-matrix evaluation and one
+    :meth:`~repro.ml.base.ClassificationModel.prob_vjp_operator`; the
     per-case gradients are summed in case order.
     """
 
@@ -251,8 +252,8 @@ class TwoStepRanker(Ranker):
 
     def _marked_mispredictions(
         self, ctx: IterationContext
-    ) -> list[tuple[QueryResult, int, object]]:
-        """(result, site_id, target_label) across all complaint cases.
+    ) -> list[tuple[int, QueryResult, int, object]]:
+        """(case position, result, site_id, target_label) across all cases.
 
         The "opaque solver pick" among each case's tied optima consumes
         ``ctx.rng`` strictly in case order.
@@ -260,19 +261,20 @@ class TwoStepRanker(Ranker):
         enumerations = [
             self._enumerate_case(case_result) for case_result in ctx.case_results
         ]
-        marked: list[tuple[QueryResult, int, object]] = []
+        marked: list[tuple[int, QueryResult, int, object]] = []
         total_ambiguity = 1
-        for (case, result), (direct_marks, direct_sites, encoder, solutions) in zip(
-            ctx.case_results, enumerations
+        for position, ((case, result), enumeration) in enumerate(
+            zip(ctx.case_results, enumerations)
         ):
-            marked.extend(direct_marks)
+            direct_marks, direct_sites, encoder, solutions = enumeration
+            marked.extend((position, *mark) for mark in direct_marks)
             if solutions is None:
                 continue
             total_ambiguity *= len(solutions)
             chosen = pick_solution(solutions, ctx.rng)
             for site_id, label in encoder.marked_mispredictions(chosen):
                 if site_id not in direct_sites:
-                    marked.append((result, site_id, label))
+                    marked.append((position, result, site_id, label))
         ctx.diagnostics["ambiguity"] = total_ambiguity
         return marked
 
@@ -307,16 +309,23 @@ class TwoStepRanker(Ranker):
     # -- influence step ----------------------------------------------------------
 
     def _q_grad(
-        self, ctx: IterationContext, marked: list[tuple[QueryResult, int, object]]
+        self,
+        ctx: IterationContext,
+        marked: list[tuple[int, QueryResult, int, object]],
     ) -> np.ndarray:
-        """q(θ) = -Σ_marked p_target(x; θ), encoding only the marked sites."""
-        by_result: dict[int, tuple[QueryResult, list[int], list[object]]] = {}
-        for result, site_id, label in marked:
-            entry = by_result.setdefault(id(result), (result, [], []))
+        """q(θ) = -Σ_marked p_target(x; θ), encoding only the marked sites.
+
+        One product per case, summed in case order.  Cases over one plan
+        may share one result object, so marks are grouped by case
+        position, never by result.
+        """
+        by_case: dict[int, tuple[QueryResult, list[int], list[object]]] = {}
+        for position, result, site_id, label in marked:
+            entry = by_case.setdefault(position, (result, [], []))
             entry[1].append(site_id)
             entry[2].append(label)
         q_grad = np.zeros(ctx.model.n_params)
-        for result, site_ids, labels in by_result.values():
+        for result, site_ids, labels in by_case.values():
             X_sites = result.runtime.features_for_sites(site_ids)
             q_grad += q_grad_for_target_predictions(
                 ctx.model, X_sites, np.asarray(labels, dtype=object)

@@ -24,7 +24,9 @@ converts once per call, not once per L-BFGS evaluation; an influence
 analyzer converts once at construction and passes its set to the ``*_on``
 methods.  :meth:`ClassificationModel.hessian_operator` captures θ and every
 quantity that depends only on θ (the logistic σ(1−σ) weights, the softmax
-probabilities), so each product of a CG solve costs two matrix products.
+probabilities), so each product of a CG solve costs two matrix products;
+:meth:`ClassificationModel.prob_vjp_operator` does the same for the
+probability VJPs of many weightings over one set of inputs.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ class ClassificationModel:
         self.classes = list(classes)
         self.l2 = float(l2)
         self._class_index = {label: index for index, label in enumerate(self.classes)}
+        # Replaced, never written in place (``fit``, ``set_params``): the
+        # executor tells model states apart by the identity of this array.
         self._params: np.ndarray | None = None
 
     # -- parameters -------------------------------------------------------------
@@ -171,7 +175,9 @@ class ClassificationModel:
     def _prob_vjp(
         self, params: np.ndarray, X: np.ndarray, weights: np.ndarray
     ) -> np.ndarray:
-        """Gradient of ``Σ_i Σ_c weights[i,c] p_c(x_i; θ)`` w.r.t. θ."""
+        """Gradient of ``Σ_i Σ_c weights[i,c] p_c(x_i; θ)`` w.r.t. θ (used by
+        the default :meth:`prob_vjp_operator`; the linear models override
+        the operator)."""
         raise NotImplementedError
 
     def _init_params(self, n_features_shape: tuple[int, ...]) -> np.ndarray:
@@ -216,7 +222,7 @@ class ClassificationModel:
             method="L-BFGS-B",
             options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-9},
         )
-        self._params = np.asarray(result.x, dtype=np.float64)
+        self._params = np.array(result.x, dtype=np.float64)  # a new array
         self.last_fit_result_ = result
         return self
 
@@ -327,7 +333,21 @@ class ClassificationModel:
             raise ModelError(
                 f"weights shape {weights.shape} != ({X.shape[0]}, {self.n_classes})"
             )
-        return self._prob_vjp(self.get_params(), self._inputs(X), weights)
+        return self.prob_vjp_operator(X)(weights)
+
+    def prob_vjp_operator(self, X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``weights -> prob_vjp(X, weights)`` at the current θ.
+
+        One operator serves every weighting of one set of inputs, such as
+        the complaint cases over one query's inference sites.  It converts
+        ``X`` once; the linear models also capture their θ-only factor
+        (the sigmoid or the softmax probabilities), so each product costs
+        one elementwise step and one matrix product.  Weights are not
+        shape-checked here.
+        """
+        params = self.get_params()
+        inputs = self._inputs(np.asarray(X, dtype=np.float64))
+        return lambda weights: self._prob_vjp(params, inputs, weights)
 
     # -- evaluation helpers ---------------------------------------------------------
 

@@ -9,7 +9,9 @@ softmax regression both support:
   and the Fisher-form product for softmax — which make conjugate-gradient
   influence estimation fast and exact; ``hessian_operator`` computes the
   θ-only factor (σ' or the softmax probabilities) once per solve,
-- analytic probability VJPs for TwoStep/Holistic ``q`` gradients.
+- analytic probability VJPs for TwoStep/Holistic ``q`` gradients;
+  ``prob_vjp_operator`` computes σ or the softmax probabilities once per
+  set of sites.
 
 Both models optionally append an intercept feature in ``_inputs``
 (``fit_intercept=True``); the intercept is regularized along with the rest
@@ -19,7 +21,7 @@ convexity condition influence functions rely on).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -121,11 +123,13 @@ class LogisticRegression(ClassificationModel):
         p1 = _stable_sigmoid(Xa @ params)
         return np.stack([1.0 - p1, p1], axis=1)
 
-    def _prob_vjp(self, params, Xa, weights):
-        p1 = _stable_sigmoid(Xa @ params)
-        # ∂p1/∂θ = p1(1-p1)x ; ∂p0/∂θ = -p1(1-p1)x
-        coeff = (weights[:, 1] - weights[:, 0]) * p1 * (1.0 - p1)
-        return Xa.T @ coeff
+    def prob_vjp_operator(self, X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        # ∂p1/∂θ = p1(1-p1)x ; ∂p0/∂θ = -p1(1-p1)x, with p1 = σ(xᵀθ) fixed
+        # by θ.
+        Xa = self._inputs(X)
+        p1 = _stable_sigmoid(Xa @ self.get_params())
+        p0 = 1.0 - p1
+        return lambda weights: Xa.T @ ((weights[:, 1] - weights[:, 0]) * p1 * p0)
 
 
 class SoftmaxRegression(ClassificationModel):
@@ -232,8 +236,13 @@ class SoftmaxRegression(ClassificationModel):
     def _proba(self, params, Xa):
         return np.exp(self._log_proba(params, Xa))
 
-    def _prob_vjp(self, params, Xa, weights):
-        p = np.exp(self._log_proba(params, Xa))
-        # ∂/∂W Σ w_ic p_ic ; per-row inner Jacobian is diag(p) - p pᵀ.
-        inner = p * (weights - (weights * p).sum(axis=1, keepdims=True))
-        return (Xa.T @ inner).ravel()
+    def prob_vjp_operator(self, X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        Xa = self._inputs(X)
+        p = np.exp(self._log_proba(self.get_params(), Xa))
+
+        def apply(weights: np.ndarray) -> np.ndarray:
+            # ∂/∂W Σ w_ic p_ic ; per-row inner Jacobian is diag(p) - p pᵀ.
+            inner = p * (weights - (weights * p).sum(axis=1, keepdims=True))
+            return (Xa.T @ inner).ravel()
+
+        return apply

@@ -34,11 +34,14 @@ the predictions, and training-set edits never touch the queried
 relations, so the pool, the sites and the candidate tuples or groups
 depend only on (plan, data).  :meth:`Executor.execute` memoizes them per
 plan fingerprint; a later call re-labels the sites under the current
-models and evaluates the cached output program.  An entry is rebuilt
-when a relation or model it read was replaced (compared by identity, plus
-the model's classes).  A plan that projects a prediction into an output
-column is executed afresh each call, since that column holds concrete
-values.
+models and evaluates the cached output program.  The labelled result is
+kept too and returned again while every model the lineage reads holds
+the same parameter array: parameters change only by rebinding that
+array (``fit``, ``set_params``), so its identity is an exact key.  An
+entry is rebuilt when a relation or model it read was replaced (compared
+by identity, plus the model's classes).  A plan that projects a
+prediction into an output column is executed afresh each call, since
+that column holds concrete values.
 """
 
 from __future__ import annotations
@@ -152,6 +155,9 @@ class QueryResult:
         self.output_to_group = output_to_group
         self.is_aggregate = is_aggregate
         self.pool = pool
+        # Programs over ``pool`` keyed by their root array; every result
+        # of one memoized lineage gets the same dict (``_Lineage.keep``).
+        self._programs: dict[bytes, CompiledProvenance] | None = None
 
     @property
     def debug(self) -> bool:
@@ -166,6 +172,22 @@ class QueryResult:
         if self._candidate_conditions is None and self.candidate_cond_nodes is not None:
             self._candidate_conditions = self.pool.to_exprs(self.candidate_cond_nodes)
         return self._candidate_conditions
+
+    def program(self, roots: np.ndarray) -> CompiledProvenance:
+        """A compiled program over ``roots`` in this (compiled) result's pool.
+
+        The pool of an executed lineage never grows, so a program depends
+        on its roots alone: results of one lineage share one program per
+        root array instead of each building its own.
+        """
+        roots = np.asarray(roots, dtype=np.int64)
+        if self._programs is None:
+            return CompiledProvenance(self.pool, roots)
+        key = roots.tobytes()
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = CompiledProvenance(self.pool, roots)
+        return program
 
     def assignment(self) -> dict[int, object]:
         """Current ``site_id -> predicted class`` assignment."""
@@ -281,6 +303,11 @@ class _Lineage:
     program over the output roots.  Only the site labels change when the
     model is refit, so a later execution re-labels this lineage instead
     of rebuilding it.
+
+    It also keeps the last labelled result with the parameter arrays of
+    the models it read, and the programs consumers build over its pool
+    (:meth:`QueryResult.program`).  Neither refers back to the lineage,
+    so dropping the executor frees it without the cyclic collector.
     """
 
     def __init__(
@@ -308,6 +335,38 @@ class _Lineage:
             for (kind, name), model in self.reads.items()
             if kind == "model"
         }
+        self.programs: dict[bytes, CompiledProvenance] = {}
+        self._labelled: tuple[tuple, QueryResult] | None = None
+
+    def _model_state(self) -> tuple | None:
+        """The parameter array of every model read; None if one has none."""
+        state = tuple(
+            getattr(model, "_params", None)
+            for (kind, _), model in self.reads.items()
+            if kind == "model"
+        )
+        return None if any(params is None for params in state) else state
+
+    def labelled(self) -> QueryResult | None:
+        """The kept result, if no model read has new parameters since."""
+        if self._labelled is None:
+            return None
+        state, result = self._labelled
+        current = self._model_state()
+        if current is None or any(a is not b for a, b in zip(current, state)):
+            return None
+        return result
+
+    def keep(self, result: QueryResult) -> QueryResult:
+        """Keep ``result`` as the labelling under the current parameters.
+
+        It also gets this lineage's programs, shared with every result
+        kept before it.
+        """
+        result._programs = self.programs
+        state = self._model_state()
+        self._labelled = None if state is None else (state, result)
+        return result
 
     def is_current(self, database: Database) -> bool:
         """Whether every relation and model it read is still registered."""
@@ -359,10 +418,12 @@ class Executor:
     """Evaluates plans against a :class:`Database`.
 
     Compiled debug executions are memoized per plan fingerprint for the
-    executor's lifetime: the first call builds the plan's lineage, and
-    every later call re-labels it under the current models (one
+    executor's lifetime: the first call builds the plan's lineage, and a
+    later call re-labels it under the current models (one
     ``model.predict`` per run of sites and one evaluation of the output
-    roots).  ``lineage_hits``/``lineage_misses`` count the two cases.
+    roots) or, when no model it reads has new parameters since the last
+    call, returns that call's result again.  ``lineage_hits``/
+    ``lineage_misses`` count reuses and builds of a lineage.
     """
 
     def __init__(self, database: Database) -> None:
@@ -378,9 +439,12 @@ class Executor:
 
         ``provenance`` selects the debug representation: ``"compiled"``
         (columnar node arrays, the default) or ``"tree"`` (the interpreted
-        golden-reference path).  Every call returns a new result with its
-        own labels; compiled debug results of one plan share its lineage
-        (pool, sites, candidate batch, groups) read-only.
+        golden-reference path).  A compiled debug call returns the plan's
+        previous result object again while every model it reads holds the
+        same parameter array, and otherwise a new result with its own
+        labels; compiled debug results of one plan share its lineage
+        (pool, sites, candidate batch, groups) read-only, so consumers
+        must not modify a result.
 
         Raises :class:`~repro.errors.ProvenanceError` when a memoized
         lineage's pool or site registry grew since it was built.
@@ -408,7 +472,12 @@ class Executor:
         if lineage is not None and lineage.is_current(self.database):
             lineage.check_unchanged()
             self.lineage_hits += 1
-            return self._labelled_result(lineage, lineage.runtime.relabeled())
+            result = lineage.labelled()
+            if result is None:
+                result = lineage.keep(
+                    self._labelled_result(lineage, lineage.runtime.relabeled())
+                )
+            return result
         self.lineage_misses += 1
         runtime = QueryRuntime(self.database, debug=True)
         if isinstance(plan, Aggregate):
@@ -418,9 +487,11 @@ class Executor:
         else:
             batch = self._eval(plan, runtime)
             lineage = _Lineage(plan, runtime, batch.cond_nodes, batch=batch)
+        result = self._labelled_result(lineage, runtime)
         if not _projects_predictions(plan):
             self._lineages[key] = lineage
-        return self._labelled_result(lineage, runtime)
+            lineage.keep(result)
+        return result
 
     def _labelled_result(self, lineage: _Lineage, runtime: QueryRuntime) -> QueryResult:
         """The concrete result of ``lineage`` under ``runtime``'s labels."""

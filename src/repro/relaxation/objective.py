@@ -31,7 +31,7 @@ pass in the model, shared by both engines.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -68,8 +68,8 @@ class RelaxedComplaintObjective:
             engine = "compiled" if result.compiled else "interpreted"
         self.engine = engine
 
-        site_ids = list(range(len(self.runtime.sites)))
-        if not site_ids:
+        n_sites = len(self.runtime.sites)
+        if not n_sites:
             raise RelaxationError(
                 "the query contains no model inference; nothing to debug"
             )
@@ -80,11 +80,10 @@ class RelaxedComplaintObjective:
             )
         self.model_name = model_names.pop()
         self.model = self.runtime.model(self.model_name)
-        self.site_ids = site_ids
         self.X_sites = self.runtime.site_features()
         self.relaxer = Relaxer.for_model(self.model)
-        self._site_arr = np.asarray(site_ids, dtype=np.int64)
-        self._max_site = int(self._site_arr.max()) + 1
+        self._site_arr = np.arange(n_sites, dtype=np.int64)
+        self._max_site = n_sites
 
         if self.engine == "compiled":
             self._build_compiled_program()
@@ -139,11 +138,15 @@ class RelaxedComplaintObjective:
                 f"unknown complaint type {type(complaint).__name__}"
             )
         self._pool = pool
-        self._program = (
-            CompiledProvenance(pool, np.asarray(roots, dtype=np.int64))
-            if roots
-            else None
-        )
+        roots = np.asarray(roots, dtype=np.int64)
+        if not roots.size:
+            self._program = None
+        elif result.compiled:
+            # Cases over one plan look their roots up in one frozen pool:
+            # the result shares one program per root array among them.
+            self._program = result.program(roots)
+        else:
+            self._program = CompiledProvenance(pool, roots)
 
     # -- probability matrix ------------------------------------------------------
 
@@ -225,20 +228,26 @@ class RelaxedComplaintObjective:
         return self.q_and_grad_theta()[1]
 
     def q_and_grad_theta(
-        self, P_rows: np.ndarray | None = None
+        self,
+        P_rows: np.ndarray | None = None,
+        vjp: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> tuple[float, np.ndarray]:
         """``(q(θ), ∇_θ q(θ))`` in one relaxation sweep.
 
-        ``P_rows`` optionally supplies precomputed site probabilities.
+        ``P_rows`` optionally supplies precomputed site probabilities and
+        ``vjp`` the model's :meth:`prob_vjp_operator` over the sites.
         Cases over one plan see identical sites, so
-        :func:`batched_q_and_grads` computes the matrix once per plan and
-        passes it to every case — the values are exactly what
-        :meth:`probabilities` would return, so this is a pure dedup.
+        :func:`batched_q_and_grads` builds both once per plan and passes
+        them to every case — the values are exactly what
+        :meth:`probabilities` and ``prob_vjp`` would return, so this is a
+        pure dedup.
         """
         if P_rows is None:
             P_rows = self.probabilities()
         q, pgrad_rows = self.q_value_and_pgrad(P_rows)
-        return q, self.model.prob_vjp(self.X_sites, pgrad_rows)
+        if vjp is None:
+            return q, self.model.prob_vjp(self.X_sites, pgrad_rows)
+        return q, vjp(pgrad_rows)
 
 
 def batched_case_objectives(case_results: Sequence) -> list[RelaxedComplaintObjective]:
@@ -260,17 +269,22 @@ def batched_q_and_grads(
     """``(q, ∇_θ q)`` for every objective, in objective order.
 
     Results of one plan share its memoized lineage and so its inference
-    sites and their features: the probability matrix is computed once per
-    site registry and handed to each case's relaxation sweep.
+    sites and their features: the probability matrix and the model's
+    θ-only backward factors are computed once per site registry and
+    handed to each case's relaxation sweep.
     """
-    shared_P: dict[int, np.ndarray] = {}
+    shared: dict[int, tuple[np.ndarray, Callable]] = {}
     q_values: list[float] = []
     q_grads: list[np.ndarray] = []
     for objective in objectives:
         key = id(objective.runtime.sites)
-        if key not in shared_P:
-            shared_P[key] = objective.probabilities()
-        q, grad = objective.q_and_grad_theta(P_rows=shared_P[key])
+        if key not in shared:
+            shared[key] = (
+                objective.probabilities(),
+                objective.model.prob_vjp_operator(objective.X_sites),
+            )
+        P_rows, vjp = shared[key]
+        q, grad = objective.q_and_grad_theta(P_rows=P_rows, vjp=vjp)
         q_values.append(float(q))
         q_grads.append(grad)
     return q_values, q_grads

@@ -10,6 +10,7 @@ from repro.analysis.engine import (
     Finding,
     analyze_source,
     load_baseline,
+    run_analysis,
     scan_suppressions,
 )
 from repro.analysis.__main__ import main as analysis_main
@@ -173,6 +174,32 @@ def _write_project(tmp_path, body):
     pkg.mkdir(parents=True)
     (pkg / "mod.py").write_text(textwrap.dedent(body))
     return tmp_path
+
+
+class TestEntryPoints:
+    def test_project_run_equals_the_per_file_pass(self, tmp_path):
+        body = """
+            import os as system
+            import random
+
+            class C:
+                def f(self, k, items, out):
+                    for item in set(items):
+                        out.append(item)
+                    random.shuffle(out)
+                    return self._cache[id(k)]
+
+            X = system.environ  # repro: ignore[KNOB001] — fixture
+            Y = system.getenv("Y")
+            """
+        root = _write_project(tmp_path, body)
+        report = run_analysis(root, include_golden=False)
+        ctx = analyze_source(dedent(body), path="src/repro/mod.py")
+        assert report.findings == sorted(ctx.findings, key=lambda f: f.sort_key)
+        assert {f.rule for f in report.findings} == {
+            "DET001", "DET002", "DET003", "KNOB001"
+        }
+        assert report.n_inline_suppressed == ctx.n_inline_suppressed == 1
 
 
 class TestMain:

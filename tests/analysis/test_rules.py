@@ -248,6 +248,30 @@ class TestDet002:
         )
         assert len(found) == 1
 
+    @pytest.mark.parametrize(
+        "sink",
+        ["append", "extend", "appendleft", "add_var", "add_constraint",
+         "add_dense_constraint", "add_row", "add_complaints", "put", "write",
+         "writerow"],
+    )
+    def test_every_sink_is_order_sensitive(self, sink):
+        found = findings_for(
+            f"def emit(items, out):\n    for item in set(items):\n"
+            f"        out.{sink}(item)\n",
+            "DET002",
+        )
+        assert len(found) == 1
+
+    @pytest.mark.parametrize("call", ["submit", "submit_train", "submit_execute"])
+    def test_pool_submission_is_not_a_sink(self, call):
+        # No thread pool is left in the library to submit work to.
+        found = findings_for(
+            f"def emit(items, pool):\n    for item in set(items):\n"
+            f"        pool.{call}(item)\n",
+            "DET002",
+        )
+        assert found == []
+
     def test_inline_suppression(self):
         found = findings_for(
             """
@@ -345,12 +369,44 @@ class TestKnob001:
             "os.environ.copy()",
             'os.environ.pop("REPRO_FOO", None)',
             "list(os.environ)",
+            'system.environ["REPRO_FOO"]',
+            'system.environ.get("REPRO_FOO")',
+            'os.environb[b"REPRO_FOO"]',
+            'system.environb.get(b"REPRO_FOO")',
         ],
     )
     def test_direct_reads(self, expr):
-        found = findings_for(f"def f():\n    return {expr}\n", "KNOB001")
+        found = findings_for(
+            f"import os as system\n\ndef f():\n    return {expr}\n", "KNOB001"
+        )
         assert len(found) == 1
         assert "explicit argument" in found[0].message
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from os import environ as env\n\ndef f():\n    return env['X']\n",
+            "from os import environb\n\ndef f():\n    return environb[b'X']\n",
+            "from os import getenv as read\n\ndef f():\n    return read('X')\n",
+            "def f():\n    import os as system\n    return system.environ['X']\n",
+            "import os.path as path, os as system\n\nX = system.environ\n",
+        ],
+        ids=["environ-as", "environb", "getenv-as", "local-import", "import-list"],
+    )
+    def test_reads_through_import_aliases(self, source):
+        assert len(findings_for(source, "KNOB001")) == 1
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import settings as system\n\ndef f():\n    return system.environ['X']\n",
+            "from settings import environ as env\n\ndef f():\n    return env['X']\n",
+            "def f(system):\n    return system.environ['X']\n",
+        ],
+        ids=["module-alias", "environ-alias", "parameter"],
+    )
+    def test_aliases_of_other_modules_are_clean(self, source):
+        assert findings_for(source, "KNOB001") == []
 
     @pytest.mark.parametrize(
         "stmt",

@@ -16,6 +16,7 @@ from repro.core.rankers import (
     TwoStepRanker,
 )
 from repro.errors import DebuggingError
+from repro.influence.functions import q_grad_for_target_predictions
 from repro.ml import LogisticRegression
 from repro.relational import Database, Executor, Relation
 from repro.relational.sql import plan_sql
@@ -288,6 +289,64 @@ class TestLoopFailures:
         monkeypatch.setattr(debugger.executor, "execute", boom)
         with pytest.raises(RuntimeError, match="executor down"):
             debugger.run(max_removals=10)
+
+
+class TestTwoStepSharedPlan:
+    """Two TwoStep cases over one plan read one shared result object."""
+
+    # The removal order of this session before cases could share a result.
+    PINNED = [39, 17, 12, 30, 56, 25, 14, 9, 38, 51, 32, 28, 36, 10, 6,
+              23, 41, 2, 45, 20, 115, 7, 69, 85, 24, 26, 77, 40, 15, 79]
+
+    def _setting(self, debug_setting):
+        """One COUNT complaint per predicted-class group of one query."""
+        db, model, X, y, corrupted, case = debug_setting
+        true_ones = case.complaints[0].value
+        true_counts = {1: true_ones, 0: len(db.relation("Q")) - true_ones}
+        sql = "SELECT COUNT(*) FROM Q GROUP BY predict(*)"
+        cases = [
+            ComplaintCase(
+                sql,
+                [ValueComplaint(column="count", op="=", value=true_counts[label],
+                                group_key=(label,))],
+            )
+            for label in (1, 0)
+        ]
+        return db, X, y, cases
+
+    def test_removal_order_is_pinned(self, debug_setting):
+        db, X, y, cases = self._setting(debug_setting)
+        debugger = RainDebugger(db, "m", X, y, cases, method="twostep", rng=0)
+        report = debugger.run(max_removals=30, k_per_iteration=5)
+        assert report.removal_order == self.PINNED
+        assert all(r.diagnostics["n_marked"] > 0 for r in report.iterations)
+
+    def test_q_grad_is_the_per_case_sum(self, debug_setting, monkeypatch):
+        db, X, y, cases = self._setting(debug_setting)
+        debugger = RainDebugger(db, "m", X, y, cases, method="twostep", rng=0)
+        seen = []
+        q_grad = TwoStepRanker._q_grad
+
+        def checked(ranker, ctx, marked):
+            results = {id(result) for _, result, _, _ in marked}
+            positions = sorted({position for position, *_ in marked})
+            grad = q_grad(ranker, ctx, marked)
+            expected = np.zeros(ctx.model.n_params)
+            for position in positions:
+                rows = [m for m in marked if m[0] == position]
+                expected += q_grad_for_target_predictions(
+                    ctx.model,
+                    rows[0][1].runtime.features_for_sites([m[2] for m in rows]),
+                    np.asarray([m[3] for m in rows], dtype=object),
+                )
+            np.testing.assert_array_equal(grad, expected)
+            seen.append((len(results), positions))
+            return grad
+
+        monkeypatch.setattr(TwoStepRanker, "_q_grad", checked)
+        debugger.run(max_removals=15, k_per_iteration=5)
+        # Both cases mark sites of the one shared result.
+        assert seen and all(entry == (1, [0, 1]) for entry in seen)
 
 
 def _drain_against_oracle(monkeypatch):

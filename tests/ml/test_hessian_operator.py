@@ -1,11 +1,11 @@
-"""The Hessian operator and once-per-call conversion are bit-identical.
+"""The Hessian and VJP operators and once-per-call conversion are bit-identical.
 
 The oracles below are the pre-operator model code, copied verbatim: every
-Hessian-vector product re-stacked the intercept column and recomputed the
-θ-only quantities (σ(1-σ), softmax probabilities), and every L-BFGS
-evaluation in ``fit`` re-augmented X.  CG carries any low-order difference
-into Rain's scores, so these compare with ``np.array_equal``, never with a
-tolerance.
+Hessian-vector product and probability VJP re-stacked the intercept
+column and recomputed the θ-only quantities (σ(1-σ), σ, softmax
+probabilities), and every L-BFGS evaluation in ``fit`` re-augmented X.
+CG carries any low-order difference into Rain's scores, so these compare
+with ``np.array_equal``, never with a tolerance.
 """
 
 import numpy as np
@@ -71,6 +71,19 @@ def _softmax_data_hvp_block(model, params, X, y_idx, V):
     B = p[None, :, :] * (A - np.einsum("nk,bnk->bn", p, A)[:, :, None])
     out = np.einsum("nd,bnk->bdk", Xa, B) / X.shape[0]
     return out.reshape(n_rhs, -1).T
+
+
+def _prob_vjp(model, params, X, weights):
+    Xa = _augment(model, X)
+    if isinstance(model, LogisticRegression):
+        p1 = _stable_sigmoid(Xa @ params)
+        # ∂p1/∂θ = p1(1-p1)x ; ∂p0/∂θ = -p1(1-p1)x
+        coeff = (weights[:, 1] - weights[:, 0]) * p1 * (1.0 - p1)
+        return Xa.T @ coeff
+    p = np.exp(_log_proba(model, params, X))
+    # ∂/∂W Σ w_ic p_ic ; per-row inner Jacobian is diag(p) - p pᵀ.
+    inner = p * (weights - (weights * p).sum(axis=1, keepdims=True))
+    return (Xa.T @ inner).ravel()
 
 
 def _default_data_hvp_block(model, params, X, y_idx, V):
@@ -171,6 +184,19 @@ class TestLinearOperatorIsBitIdentical:
         model.fit(X, y, warm_start=False)
         assert np.array_equal(model.get_params(), _oracle_fit(model, X, y))
 
+    def test_prob_vjp_operator(self, linear_case):
+        # One operator serves many weightings, each equal to a fresh VJP.
+        model, X, _, _, _ = linear_case
+        params = model.get_params()
+        operator = model.prob_vjp_operator(X)
+        rng = np.random.default_rng(6)
+        for density in (1.0, 0.1, 0.0):
+            weights = rng.normal(size=(X.shape[0], model.n_classes))
+            weights *= rng.random(size=weights.shape) < density
+            expected = _prob_vjp(model, params, X, weights)
+            assert np.array_equal(operator(weights), expected)
+            assert np.array_equal(model.prob_vjp(X, weights), expected)
+
 
 class TestDefaultOperator:
     """Neural models keep the base operator over finite-difference HVPs."""
@@ -197,6 +223,14 @@ class TestDefaultOperator:
                 + 2.0 * model.l2 * V
             )
             assert np.array_equal(operator.matmat(V), expected)
+
+    def test_prob_vjp_operator(self, mlp_case):
+        model, X, _ = mlp_case
+        operator = model.prob_vjp_operator(X)
+        weights = np.random.default_rng(7).normal(size=(X.shape[0], 2))
+        expected = model._prob_vjp(model.get_params(), X, weights)
+        assert np.array_equal(operator(weights), expected)
+        assert np.array_equal(model.prob_vjp(X, weights), expected)
 
     def test_fit_equals_reaugmenting_fit(self, mlp_case):
         model, X, y = mlp_case

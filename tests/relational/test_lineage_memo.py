@@ -1,15 +1,20 @@
 """The executor's per-plan lineage memo.
 
 Compiled debug executions build a plan's lineage once per executor and
-re-label it on every later call.  The oracle here is a fresh
+re-label it on a later call, or return the previous result again while
+no model it reads has new parameters.  The oracle here is a fresh
 ``Executor(db).execute(plan, debug=True)`` at the same model state: full
-train-rank-fix loops over five query shapes must see, at every
+train-rank-fix loops over six query shapes must see, at every
 iteration, the same relation, site labels, evaluated lineage nodes and
 drain flag as a fresh execution.  The edge tests pin invalidation (a
-replaced relation or model rebuilds the entry) and the growth guard.
+replaced relation or model rebuilds the entry) and the growth guard;
+the kept-result tests pin when a call returns the previous result, the
+shared programs, and that a session's lineage needs no cyclic collector.
 """
 
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +28,8 @@ from repro.experiments.common import build_dblp_setting
 from repro.experiments.fig8_multiquery import Q6, Q7, build_adult_setting
 from repro.ml import LogisticRegression
 from repro.relational import Database, Executor, Relation
-from repro.relational.compile import CompiledProvenance
+from repro.relational.compile import TRUE_NODE, CompiledProvenance
+from repro.relational.context import QueryRuntime
 from repro.relational.sql import plan_sql
 from repro.relaxation.objective import RelaxedComplaintObjective
 
@@ -138,6 +144,7 @@ def _group_by_predict():
 SHAPES = {
     "dblp-count": _dblp_count,
     "adult-group-by": _adult_group_by,
+    "adult-multi-case": _adult_multi_case,
     "predicted-join": _predicted_join,
     "spj-tuple": _spj_tuple,
     "group-by-predict": _group_by_predict,
@@ -346,3 +353,102 @@ class TestMemoEdges:
         assert (executor.lineage_hits, executor.lineage_misses) == (0, 2)
         fresh = Executor(simple_db).execute(plan, debug=True)
         assert _relation_signature(result) == _relation_signature(fresh)
+
+
+class TestKeptResult:
+    """A call under unchanged parameters returns the previous result."""
+
+    def test_unchanged_models_return_the_same_result(self, count_db):
+        db, plan = count_db
+        executor = Executor(db)
+        first = executor.execute(plan, debug=True)
+        assert executor.execute(plan, debug=True) is first
+        assert executor.execute(plan, debug=True) is first
+        assert (executor.lineage_hits, executor.lineage_misses) == (2, 1)
+
+    def test_fit_returns_a_new_result(self, count_db, binary_problem):
+        db, plan = count_db
+        executor = Executor(db)
+        first = executor.execute(plan, debug=True)
+        X, y = binary_problem
+        db.model("m").fit(X[:40], 1 - y[:40], warm_start=True)
+        second = executor.execute(plan, debug=True)
+        assert second is not first
+        _assert_matches_fresh(second, Executor(db).execute(plan, debug=True),
+                              _count_case(plan))
+        assert executor.execute(plan, debug=True) is second
+
+    def test_set_params_returns_a_new_result(self, count_db):
+        db, plan = count_db
+        executor = Executor(db)
+        first = executor.execute(plan, debug=True)
+        model = db.model("m")
+        # The same values in a new array still count as a new state.
+        model.set_params(model.get_params())
+        second = executor.execute(plan, debug=True)
+        assert second is not first
+        _assert_matches_fresh(second, Executor(db).execute(plan, debug=True),
+                              _count_case(plan))
+        model.set_params(-model.get_params())
+        third = executor.execute(plan, debug=True)
+        assert third is not second
+        _assert_matches_fresh(third, Executor(db).execute(plan, debug=True),
+                              _count_case(plan))
+        assert third.scalar() == len(db.relation("R")) - second.scalar()
+
+    def test_results_of_one_lineage_share_programs(self, count_db):
+        db, plan = count_db
+        executor = Executor(db)
+        first = executor.execute(plan, debug=True)
+        model = db.model("m")
+        model.set_params(-model.get_params())
+        second = executor.execute(plan, debug=True)
+        roots = np.asarray([first.cell_node(0, "count")])
+        program = first.program(roots)
+        assert second.program(roots) is program
+        assert first.program(roots.copy()) is program
+        assert first.program(np.asarray([TRUE_NODE])) is not program
+        fresh = Executor(db).execute(plan, debug=True)
+        assert fresh.program(roots) is not program
+        complaints = [ValueComplaint(column="count", op="=", value=3, row_index=0)]
+        for result in (first, second):
+            objective = RelaxedComplaintObjective(result, complaints)
+            assert objective._program is program
+
+    def test_adult_session_labels_each_plan_once_per_fit(self, monkeypatch):
+        db, model_name, X, y, cases = _adult_multi_case()
+        relabeled = QueryRuntime.relabeled
+        calls = []
+
+        def counted(runtime):
+            calls.append(runtime)
+            return relabeled(runtime)
+
+        monkeypatch.setattr(QueryRuntime, "relabeled", counted)
+        debugger = RainDebugger(db, model_name, X, y, cases, method="holistic",
+                                rng=0)
+        report = debugger.run(max_removals=80, k_per_iteration=10)
+        assert len(report.iterations) == 8
+        executor = debugger.executor
+        assert executor.lineage_hits + executor.lineage_misses == 12 * 8
+        # Two plans, eight fits: the first labelling of each plan comes
+        # from building its lineage, the other fourteen from re-labelling.
+        assert executor.lineage_misses == 2
+        assert len(calls) + executor.lineage_misses == 16
+
+    def test_session_lineage_is_freed_without_the_cyclic_collector(self):
+        db, model_name, X, y, cases = _adult_multi_case()
+        debugger = RainDebugger(db, model_name, X, y, cases, method="holistic",
+                                rng=0)
+        gc.collect()
+        gc.disable()
+        try:
+            debugger.run(max_removals=20, k_per_iteration=5)
+            lineage = next(iter(debugger.executor._lineages.values()))
+            assert lineage.labelled() is not None and lineage.programs
+            pool = weakref.ref(lineage.runtime.pool)
+            del lineage
+            del debugger
+            assert pool() is None
+        finally:
+            gc.enable()
