@@ -18,37 +18,31 @@ DBLP n=400 / n_query=300 configuration): for both TwoStep and Holistic,
   reference solve sequence.
 
 The Rain loop itself only runs compiled provenance; the reference arm
-reaches the executor's tree oracle by routing every ``Executor.execute``
-call through ``provenance="tree"``, which never memoizes lineage.
+routes it through the test oracles with :func:`oracles.tree_reference`:
+every ``Executor.execute`` call runs on the tree executor (which never
+memoizes lineage), Holistic's objective on the interpreted oracle, and
+TwoStep's enumeration on the ``linprog`` branch & bound.
 
 Fast tier: three train-rank-fix iterations per configuration.
 """
 
-from functools import partialmethod
-
 from conftest import save_and_print
 
-from repro.core import rankers
 from repro.experiments.common import ExperimentResult, build_dblp_setting, run_method
-from repro.ilp.solver import enumerate_optima, enumerate_optima_reference
-from repro.relational.executor import Executor
+
+from oracles import tree_reference
 
 CONFIGS = {
-    "reference": {"tree": True, "enumerate": enumerate_optima_reference},
-    "compiled": {"tree": False, "enumerate": enumerate_optima},
+    "reference": {"tree": True},
+    "compiled": {"tree": False},
 }
 
 
 def _run(setting, initial_params, method, config, monkeypatch):
     setting.model.set_params(initial_params)
     with monkeypatch.context() as patch:
-        patch.setattr(rankers, "enumerate_optima", config["enumerate"])
         if config["tree"]:
-            patch.setattr(
-                Executor,
-                "execute",
-                partialmethod(Executor.execute, provenance="tree"),
-            )
+            tree_reference(patch, linprog=True)
         report = run_method(
             setting.database,
             setting.model_name,

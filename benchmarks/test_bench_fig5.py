@@ -1,9 +1,10 @@
 """Figure 5: per-iteration Train/Encode/Rank runtime breakdown (DBLP 50%).
 
 Marked ``slow``: the ``infloss-scalar`` row deliberately runs the paper's
-per-record CG loop (the reproduction's slowest path) to anchor the
-block-solve speedup; ``test_bench_block_cg.py`` asserts the same speedup on
-a smaller workload inside the default (fast) tier.
+per-record CG loop (the reproduction's slowest path).  The test asserts
+CG solve counts, not timings; ``test_bench_block_cg.py`` asserts the
+block solve's speedup on a smaller workload inside the default (fast)
+tier.
 """
 
 import pytest
@@ -16,19 +17,18 @@ from repro.experiments import fig5_runtime
 def test_bench_fig5(benchmark, out_dir):
     result = benchmark.pedantic(fig5_runtime.run, rounds=1, iterations=1)
     save_and_print(result, out_dir)
-    ranking_cost = {
-        row["method"]: row["encode_s"] + row["rank_s"] for row in result.rows
-    }
-    total = {
-        row["method"]: row["train_s"] + row["encode_s"] + row["rank_s"]
-        for row in result.rows
-    }
-    # Paper shape: Loss avoids influence estimation entirely (cheapest
-    # ranking); the per-record InfLoss loop is the slowest approach by far
-    # (one CG solve per training record).
-    assert ranking_cost["loss"] <= min(ranking_cost.values()) + 1e-9
-    assert total["infloss-scalar"] >= max(total.values()) - 1e-9
-    assert ranking_cost["infloss-scalar"] > 3 * ranking_cost["loss"]
-    # The batched engine's headline: one block solve beats the per-record
-    # loop by well over the 3x acceptance bar while ranking the same records.
-    assert ranking_cost["infloss-scalar"] > 3 * ranking_cost["infloss"]
+    rows = {row["method"]: row for row in result.rows}
+    # Paper shape, asserted as work instead of wall clock (the timing
+    # columns stay in the table as output): Loss avoids influence
+    # estimation entirely; the batched engine issues one block CG solve
+    # per iteration; the per-record InfLoss loop issues at least one CG
+    # solve per active training record in every iteration.
+    assert rows["loss"]["cg_scalar"] == rows["loss"]["cg_block"] == 0
+    assert rows["infloss"]["cg_scalar"] == 0
+    assert rows["infloss"]["cg_block"] == rows["infloss"]["iterations"]
+    assert rows["infloss-scalar"]["cg_block"] == 0
+    assert rows["infloss-scalar"]["scalar_per_record"] >= 1.0
+    # TwoStep and Holistic rank with one scalar solve of ∇q per iteration.
+    for method in ("twostep", "holistic"):
+        assert rows[method]["cg_scalar"] == rows[method]["iterations"]
+        assert rows[method]["cg_block"] == 0

@@ -10,7 +10,10 @@ every equivalence guarantee downstream.
 ``golden_paths.toml`` is the manifest: one ``[[golden]]`` entry per
 reference with its module, qualname, a hash of the function/class body,
 a substring that must appear somewhere under ``tests/`` (proof the
-reference is still exercised), and a one-line justification.  The check
+reference is still exercised), and a one-line justification.  A module
+resolves under ``src/`` first and then under ``tests/``, where the test
+oracles live (``oracles.solver`` is ``tests/oracles/solver.py``); the
+file that defines a reference never counts as a test using it.  The check
 fails when
 
 - the module or qualname no longer resolves,
@@ -67,7 +70,13 @@ def load_manifest(path: Path) -> list[GoldenEntry]:
 
 
 def _module_file(root: Path, module: str) -> Path:
-    return root / "src" / Path(*module.split(".")).with_suffix(".py")
+    """``module``'s source under ``src/``, else under ``tests/``."""
+    relative = Path(*module.split(".")).with_suffix(".py")
+    for base in ("src", "tests"):
+        path = root / base / relative
+        if path.exists():
+            return path
+    return root / "src" / relative
 
 
 def _find_node(tree: ast.Module, qualname: str):
@@ -105,12 +114,13 @@ def body_hash(root: Path, module: str, qualname: str) -> tuple[str | None, int]:
     return digest, node.lineno
 
 
-def _tests_reference(root: Path, pattern: str) -> bool:
+def _tests_reference(root: Path, pattern: str, defining: Path) -> bool:
+    """Whether a file under ``tests/`` other than ``defining`` has ``pattern``."""
     tests_dir = root / "tests"
     if not tests_dir.is_dir():
         return False
     for path in sorted(tests_dir.rglob("*.py")):
-        if pattern in path.read_text():
+        if path.resolve() != defining.resolve() and pattern in path.read_text():
             return True
     return False
 
@@ -165,7 +175,7 @@ def check_golden(root: Path, manifest_path: Path | None = None) -> list[Finding]
                     qualname=entry.qualname,
                 )
             )
-        if not _tests_reference(root, entry.test_pattern):
+        if not _tests_reference(root, entry.test_pattern, module_relpath):
             findings.append(
                 Finding(
                     rule="GOLD001",

@@ -272,7 +272,8 @@ def all_satisfied_columnar(
     already-frozen pool, built once per lineage and node set, fed the
     dense site-label array), with the same per-complaint satisfaction
     predicates applied to the root values.  Prediction complaints and
-    tree-mode results fall back to the per-complaint path.
+    tree-built results (the tree oracle's, which have no pool) fall back
+    to the per-complaint path.
 
     This is the Rain loop's satisfaction check; :func:`all_satisfied`
     stays as the test oracle it is pinned against.

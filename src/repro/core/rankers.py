@@ -182,6 +182,7 @@ class HolisticRanker(Ranker):
 
 def _record_scalar_cg(ctx: IterationContext, warm: WarmStartState | None) -> None:
     """Store the scalar solve's solution/diagnostics after scores_from_q_grad."""
+    ctx.diagnostics["cg_solves"] = dict(ctx.analyzer.solve_counts)
     result = ctx.analyzer.last_cg_result
     if result is None:
         return

@@ -11,15 +11,18 @@ batched engine (ONE block CG solve for all records, warm-started across
 iterations) while ``infloss-scalar`` keeps the paper-faithful per-record
 loop, so the table doubles as the block-solve before/after comparison.
 
-Since the tensorized-provenance engine, the Encode side runs compiled by
-default: the executor emits provenance as node arrays, Holistic's relaxed
-objective is one batched forward/backward sweep, and TwoStep's ILP uses
-the persistent HiGHS backend.  ``benchmarks/test_bench_compiled_provenance``
-measures this same configuration against the preserved interpreted
-reference (tree provenance + per-call linprog) and asserts identical
-removal orders.
+The Encode side runs compiled: the executor emits provenance as node
+arrays, Holistic's relaxed objective is one batched forward/backward
+sweep, and TwoStep's ILP uses the persistent HiGHS backend.
+``benchmarks/test_bench_compiled_provenance`` measures this same
+configuration against the interpreted test oracles (tree provenance +
+per-call linprog) and asserts identical removal orders.
 
 We fold query execution time into Encode, matching the paper's grouping.
+Each row also counts the conjugate-gradient solves the ranker issued
+(``cg_scalar``/``cg_block``) and ``scalar_per_record``, the fewest scalar
+solves any iteration issued per active training record: work counts that
+show the per-record loop's cost without reading a clock.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ def run(
         )
         n_iters = max(1, len([r for r in report.iterations if r.removed]))
         timings = report.timings
+        solves = _cg_solves(report.iterations, setting.X_train.shape[0])
         result.rows.append(
             {
                 "method": method,
@@ -60,6 +64,7 @@ def run(
                 / n_iters,
                 "rank_s": timings.get("rank", 0.0) / n_iters,
                 "iterations": n_iters,
+                **solves,
             }
         )
     result.notes.append(
@@ -71,3 +76,26 @@ def run(
         "infloss-scalar = the paper's per-record loop."
     )
     return result
+
+
+def _cg_solves(iterations, n_train: int) -> dict:
+    """CG solve counts over the iterations that removed records.
+
+    Every iteration ranks with a fresh influence analyzer, so its
+    ``cg_solves`` diagnostic counts that iteration's solves alone.
+    """
+    scalar = block = 0
+    per_record: list[float] = []
+    active = n_train
+    for record in iterations:
+        counts = record.diagnostics.get("cg_solves", {})
+        if record.removed:
+            scalar += counts.get("scalar", 0)
+            block += counts.get("block", 0)
+            per_record.append(counts.get("scalar", 0) / active)
+            active -= len(record.removed)
+    return {
+        "cg_scalar": scalar,
+        "cg_block": block,
+        "scalar_per_record": min(per_record, default=0.0),
+    }

@@ -104,7 +104,7 @@ def run(
             best = float("inf")
             encoder = None
             for _ in range(max(1, rounds)):
-                fresh = executor.execute(plan, debug=True, provenance="compiled")
+                fresh = executor.execute(plan, debug=True)
                 start = time.perf_counter()
                 encoder = encoder_cls(fresh)
                 encoder.add_complaints(case.complaints)

@@ -3,11 +3,12 @@
 Intermediate results flow through the executor as :class:`TupleBatch`
 objects: a set of qualified columns (``alias.column``) plus, per aliased
 base relation, the base row ids each output tuple derives from.  In debug
-mode each tuple additionally carries its boolean existence condition —
-either a tree (:class:`~repro.relational.provenance.BoolExpr`, the golden
-reference path) or a node id into the runtime's shared
-:class:`~repro.relational.compile.NodePool` (the compiled path, one int64
-per tuple).
+mode each tuple additionally carries its boolean existence condition as a
+node id into the runtime's shared
+:class:`~repro.relational.compile.NodePool` (one int64 per tuple).  A
+batch can instead carry per-tuple
+:class:`~repro.relational.provenance.BoolExpr` trees; only the tree
+executor of the test oracles (``tests/oracles/executor.py``) builds those.
 
 :class:`QueryRuntime` holds everything that outlives one batch: the model
 registry, the inference-site registry, and the per-site prediction cache.
@@ -35,20 +36,11 @@ from .schema import Database
 class QueryRuntime:
     """Per-execution state: models, inference sites, prediction cache."""
 
-    def __init__(
-        self, database: Database, debug: bool = False, provenance: str = "compiled"
-    ) -> None:
-        if provenance not in ("compiled", "tree"):
-            raise QueryError(
-                f"provenance must be 'compiled' or 'tree', got {provenance!r}"
-            )
+    def __init__(self, database: Database, debug: bool = False) -> None:
         self.database = database
         self.debug = debug
-        self.provenance = provenance
         self.sites = SiteRegistry()
-        self.pool: NodePool | None = (
-            NodePool() if (debug and provenance == "compiled") else None
-        )
+        self.pool: NodePool | None = NodePool() if debug else None
         # (model_name, relation_name) -> dense row_id-indexed caches.
         self._pred_known: dict[tuple[str, str], np.ndarray] = {}
         self._pred_labels: dict[tuple[str, str], np.ndarray] = {}
@@ -120,8 +112,6 @@ class QueryRuntime:
         known, labels = self._pred_store(
             model_name, relation_name, int(row_ids.max()) + 1
         )
-        if self.provenance == "tree":
-            return self._predict_reference(model, known, labels, row_ids, features)
         missing = ~known[row_ids]
         if np.any(missing):
             positions = np.flatnonzero(missing)
@@ -132,33 +122,6 @@ class QueryRuntime:
             known[unique_rows] = True
         # Re-infer the natural dtype (str/int) the way per-row caching did.
         return np.asarray(labels[row_ids].tolist())
-
-    def _predict_reference(
-        self,
-        model,
-        known: np.ndarray,
-        labels: np.ndarray,
-        row_ids: np.ndarray,
-        features: np.ndarray,
-    ) -> np.ndarray:
-        """The seed's row-at-a-time cache probe (golden-reference path)."""
-        missing_positions = [
-            position
-            for position, row_id in enumerate(row_ids)
-            if not known[int(row_id)]
-        ]
-        if missing_positions:
-            missing_features = features[missing_positions]
-            predicted = model.predict(missing_features)
-            for position, label in zip(missing_positions, predicted):
-                cell = (
-                    label.item()
-                    if np.ndim(label) == 0 and hasattr(label, "item")
-                    else label
-                )
-                labels[int(row_ids[position])] = cell
-                known[int(row_ids[position])] = True
-        return np.asarray([labels[int(row_id)] for row_id in row_ids])
 
     # -- inference sites ----------------------------------------------------------
 
@@ -182,10 +145,6 @@ class QueryRuntime:
         new sites so the current assignment is always one array gather away.
         """
         row_ids = np.asarray(row_ids, dtype=np.int64)
-        if self.provenance == "tree":
-            return self._intern_sites_reference(
-                model_name, relation_name, row_ids, features
-            )
         site_ids, new_rows, first_new = self.sites.intern_batch(
             model_name, relation_name, row_ids
         )
@@ -212,32 +171,6 @@ class QueryRuntime:
                 ]
                 self._labels_known[new_sites[have]] = True
         return site_ids
-
-    def _intern_sites_reference(
-        self,
-        model_name: str,
-        relation_name: str,
-        row_ids: np.ndarray,
-        features: np.ndarray | None,
-    ) -> np.ndarray:
-        """The seed's site-at-a-time interning loop (golden-reference path)."""
-        site_ids = []
-        for position, row_id in enumerate(row_ids):
-            site = self.sites.intern(model_name, relation_name, int(row_id))
-            site_ids.append(site.site_id)
-            self._grow_site_stores(len(self.sites))
-            if features is not None and self._feat_rows[site.site_id] < 0:
-                self._feat_blocks.append(np.asarray(features[position])[None])
-                self._feat_cat = None
-                self._feat_rows[site.site_id] = self._feat_total
-                self._feat_total += 1
-            if not self._labels_known[site.site_id]:
-                try:
-                    self._labels[site.site_id] = self.prediction_for_site(site.key)
-                    self._labels_known[site.site_id] = True
-                except QueryError:
-                    pass
-        return np.asarray(site_ids, dtype=np.int64)
 
     def features_for_sites(self, site_ids) -> np.ndarray:
         """Stacked feature array for the given site ids."""
@@ -350,11 +283,11 @@ class TupleBatch:
         columns: qualified column name (``alias.column``) -> value array.
         alias_relations: alias -> underlying base relation name.
         alias_row_ids: alias -> int64 array of base row ids (one per tuple).
-        conditions: per-tuple existence condition trees (tree debug mode),
-            or ``None``.  In compiled debug mode this property materializes
-            trees from ``cond_nodes`` on first access.
-        cond_nodes: per-tuple condition node ids into ``pool`` (compiled
-            debug mode), or ``None``.
+        conditions: per-tuple existence condition trees (a tree-built
+            batch), or ``None``.  On a compiled batch this property
+            materializes trees from ``cond_nodes`` on first access.
+        cond_nodes: per-tuple condition node ids into ``pool`` (debug
+            mode), or ``None``.
     """
 
     def __init__(

@@ -9,21 +9,18 @@ that are *currently* filtered out by a model predicate are retained
 symbolically — fixing the training data could flip their predictions, so
 both TwoStep's ILP and Holistic's relaxation must see them.
 
-Two debug representations are supported:
-
-- ``provenance="compiled"`` (default): conditions and polynomials are
-  emitted directly as node ids into the runtime's shared
-  :class:`~repro.relational.compile.NodePool`; selects, projections,
-  aggregations, and the hash-join probe are columnar batch operations and
-  the concrete output is recovered by one vectorized evaluation of all
-  conditions/cells (:class:`~repro.relational.compile.CompiledProvenance`).
-  Consumers that want trees still get them — ``QueryResult`` and
-  ``GroupInfo`` materialize expression trees from the pool lazily.
-- ``provenance="tree"``: the original interpreted path — per-tuple
-  :class:`~repro.relational.provenance.BoolExpr` objects built row by row.
-  Kept verbatim as the golden reference; the compiled path is pinned to it
-  by equivalence tests and benchmarks.  The Rain loop never selects it:
-  only ``execute(plan, debug=True, provenance="tree")`` reaches it.
+Debug lineage is compiled: conditions and polynomials are emitted
+directly as node ids into the runtime's shared
+:class:`~repro.relational.compile.NodePool`; selects, projections,
+aggregations, and the hash-join probe are columnar batch operations and
+the concrete output is recovered by one vectorized evaluation of all
+conditions/cells (:class:`~repro.relational.compile.CompiledProvenance`).
+Consumers that want trees still get them — ``QueryResult`` and
+``GroupInfo`` materialize expression trees from the pool lazily.  The
+seed's per-tuple :class:`~repro.relational.provenance.BoolExpr` executor
+survives as the test oracle ``tests/oracles/executor.py``
+(``TreeExecutor``); equivalence tests and the compiled-provenance
+benchmark pin this executor to it.
 
 The concrete query result is recovered by evaluating each condition /
 polynomial under the current prediction assignment, which guarantees the
@@ -46,15 +43,12 @@ that column holds concrete values.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from ..errors import ProvenanceError, QueryError
 from . import provenance as prov
 from .algebra import (
     Aggregate,
-    AggSpec,
     Filter,
     Join,
     Plan,
@@ -122,14 +116,15 @@ class QueryResult:
         candidate_conditions: existence conditions, aligned with
             ``candidate_batch`` (materialized lazily in compiled mode).
         candidate_cond_nodes: compiled condition node ids, aligned with
-            ``candidate_batch``; ``None`` in tree mode.
+            ``candidate_batch``; ``None`` for a tree-built result.
         output_to_candidate: for SP/SPJ queries, index of each concrete
             output row inside the candidate batch.
         groups: for aggregate queries, one :class:`GroupInfo` per candidate
             group (including groups that are currently empty).
         output_to_group: index of each concrete output row inside ``groups``.
         is_aggregate: whether the root plan node is an Aggregate.
-        pool: the compiled provenance pool, or ``None`` in tree mode.
+        pool: the compiled provenance pool, or ``None`` for a tree-built
+            result.
     """
 
     def __init__(
@@ -432,29 +427,22 @@ class Executor:
         self.lineage_hits = 0
         self.lineage_misses = 0
 
-    def execute(
-        self, plan: Plan, debug: bool = False, provenance: str = "compiled"
-    ) -> QueryResult:
+    def execute(self, plan: Plan, debug: bool = False) -> QueryResult:
         """Run ``plan``; with ``debug=True`` capture full lineage.
 
-        ``provenance`` selects the debug representation: ``"compiled"``
-        (columnar node arrays, the default) or ``"tree"`` (the interpreted
-        golden-reference path).  A compiled debug call returns the plan's
-        previous result object again while every model it reads holds the
-        same parameter array, and otherwise a new result with its own
-        labels; compiled debug results of one plan share its lineage
-        (pool, sites, candidate batch, groups) read-only, so consumers
-        must not modify a result.
+        A debug call returns the plan's previous result object again while
+        every model it reads holds the same parameter array, and otherwise
+        a new result with its own labels; debug results of one plan share
+        its lineage (pool, sites, candidate batch, groups) read-only, so
+        consumers must not modify a result.
 
         Raises :class:`~repro.errors.ProvenanceError` when a memoized
         lineage's pool or site registry grew since it was built.
         """
-        if debug and provenance == "compiled":
+        if debug:
             return self._execute_debug(plan)
-        runtime = QueryRuntime(self.database, debug=debug, provenance=provenance)
+        runtime = QueryRuntime(self.database)
         if isinstance(plan, Aggregate):
-            if runtime.provenance == "tree":
-                return self._execute_aggregate_reference(plan, runtime)
             batch, keys, key_names, member_rows, _, offsets = self._group_columnar(
                 plan, runtime
             )
@@ -462,7 +450,12 @@ class Executor:
                 plan, runtime, batch, keys, key_names, member_rows, offsets
             )
         batch = self._eval(plan, runtime)
-        return self._finalize_spj(plan, batch, runtime)
+        # Every tuple is alive; the copy keeps the result from aliasing a
+        # stored relation's column arrays.
+        return QueryResult(
+            relation=_result_relation(batch.take(np.arange(len(batch)))),
+            runtime=runtime,
+        )
 
     # -- compiled debug: lineage memo -------------------------------------------
 
@@ -527,30 +520,6 @@ class Executor:
             out_rows.tolist(),
         )
 
-    # -- SP / SPJ -------------------------------------------------------------
-
-    def _finalize_spj(
-        self, plan: Plan, batch: TupleBatch, runtime: QueryRuntime
-    ) -> QueryResult:
-        """Concrete or tree-provenance SP/SPJ result."""
-        conditions = None
-        if runtime.debug:
-            assignment = runtime.current_assignment()
-            conditions = [batch.condition(i) for i in range(len(batch))]
-            alive = [
-                i for i, cond in enumerate(conditions) if cond.evaluate(assignment)
-            ]
-        else:
-            alive = list(range(len(batch)))
-        return QueryResult(
-            relation=_result_relation(batch.take(np.asarray(alive, dtype=np.int64))),
-            runtime=runtime,
-            candidate_batch=batch if runtime.debug else None,
-            candidate_conditions=conditions,
-            output_to_candidate=alive if runtime.debug else None,
-            is_aggregate=False,
-        )
-
     # -- plan dispatch ---------------------------------------------------------
 
     def _eval(self, plan: Plan, runtime: QueryRuntime) -> TupleBatch:
@@ -582,21 +551,12 @@ class Executor:
         if not runtime.debug:
             mask = np.asarray(predicate.eval(batch, runtime), dtype=bool)
             return batch.take(np.flatnonzero(mask))
-        if batch.cond_nodes is not None:
-            # Compiled: fold symbolically in the node pool; drop only rows
-            # whose condition is deterministically FALSE.
-            symbolic = predicate.symbolic_bool_nodes(batch, runtime)
-            combined = runtime.pool.and2(batch.cond_nodes, symbolic)
-            keep = np.flatnonzero(combined != FALSE_NODE)
-            return batch.take(keep).with_cond_nodes(combined[keep])
-        # Tree (reference): fold the predicate symbolically per row.
-        symbolic = predicate.symbolic_bool(batch, runtime)
-        combined = [
-            prov.and_(batch.condition(i), cond) for i, cond in enumerate(symbolic)
-        ]
-        keep = [i for i, cond in enumerate(combined) if not cond.is_false()]
-        filtered = batch.take(np.asarray(keep, dtype=np.int64))
-        return filtered.with_conditions([combined[i] for i in keep])
+        # Fold symbolically in the node pool; drop only rows whose condition
+        # is deterministically FALSE.
+        symbolic = predicate.symbolic_bool_nodes(batch, runtime)
+        combined = runtime.pool.and2(batch.cond_nodes, symbolic)
+        keep = np.flatnonzero(combined != FALSE_NODE)
+        return batch.take(keep).with_cond_nodes(combined[keep])
 
     def _eval_join(self, plan: Join, runtime: QueryRuntime) -> TupleBatch:
         left = self._eval(plan.left, runtime)
@@ -678,7 +638,7 @@ class Executor:
             pool=runtime.pool,
         )
 
-    # -- aggregation: columnar (compiled debug + concrete) ----------------------
+    # -- aggregation: columnar (debug + concrete) --------------------------------
 
     def _group_columnar(self, plan: Aggregate, runtime: QueryRuntime) -> tuple:
         """Candidate groups of ``plan`` in output order.
@@ -898,134 +858,6 @@ class Executor:
             None,
             list(range(n_groups)),
         )
-
-    # -- aggregation: interpreted reference ------------------------------------
-
-    def _execute_aggregate_reference(
-        self, plan: Aggregate, runtime: QueryRuntime
-    ) -> QueryResult:
-        batch = self._eval(plan.child, runtime)
-        n_rows = len(batch)
-        det_keys, model_keys = self._aggregate_keys(plan, batch, runtime)
-
-        # Row membership: (deterministic key tuple, per-class condition).
-        if runtime.debug:
-            row_conditions = [batch.condition(i) for i in range(n_rows)]
-        else:
-            row_conditions = [prov.TRUE] * n_rows
-
-        if model_keys:
-            key_name, predict_expr = model_keys[0]
-            classes = runtime.model_classes(predict_expr.model_name)
-            site_ids = predict_expr.site_ids(batch, runtime)
-        else:
-            classes = None
-            site_ids = None
-
-        # Candidate groups: det-key combos present in the batch x classes.
-        membership: dict[tuple, list[tuple[int, prov.BoolExpr]]] = {}
-        for i in range(n_rows):
-            det_part = tuple(
-                values[i].item() if hasattr(values[i], "item") else values[i]
-                for _, values in det_keys
-            )
-            if classes is None:
-                key = det_part
-                cond = row_conditions[i]
-                membership.setdefault(key, []).append((i, cond))
-            else:
-                for label in classes:
-                    key = det_part + (label,)
-                    cond = prov.and_(
-                        row_conditions[i], prov.PredIs(site_ids[i], label)
-                    )
-                    if cond.is_false():
-                        continue
-                    membership.setdefault(key, []).append((i, cond))
-
-        # Global aggregate: exactly one group even with zero rows.
-        if not plan.group_by and not membership:
-            membership[()] = []
-
-        agg_values = self._aggregate_arguments(plan.aggregates, batch, runtime)
-
-        group_order = sorted(membership.keys(), key=_key_sort_token)
-        group_infos: list[GroupInfo] = []
-        for key in group_order:
-            members = membership[key]
-            condition = prov.or_(*[cond for _, cond in members]) if members else prov.FALSE
-            if not plan.group_by:
-                condition = prov.TRUE  # a global aggregate row always exists
-            info = GroupInfo(key=key, condition=condition)
-            for position, spec in enumerate(plan.aggregates):
-                info.cell_polys[spec.name] = _aggregate_polynomial(
-                    spec, position, members, agg_values
-                )
-            group_infos.append(info)
-
-        # The prediction cache is populated in both modes (site_ids/symbolic_num
-        # run model inference), so the assignment is always available.
-        assignment = runtime.current_assignment()
-        # Concrete output: groups that currently exist.
-        out_rows: list[int] = []
-        for index, info in enumerate(group_infos):
-            if not plan.group_by or info.condition.evaluate(assignment):
-                out_rows.append(index)
-
-        key_names = [name for name, _ in det_keys] + (
-            [model_keys[0][0]] if model_keys else []
-        )
-        out_cells: dict[str, list] = {spec.name: [] for spec in plan.aggregates}
-        out_keys: list[tuple] = []
-        for index in out_rows:
-            info = group_infos[index]
-            out_keys.append(info.key)
-            for spec in plan.aggregates:
-                out_cells[spec.name].append(
-                    info.cell_polys[spec.name].evaluate(assignment)
-                )
-        result = self._build_output(
-            plan, key_names, out_keys, out_cells, runtime, group_infos, out_rows
-        )
-        return result
-
-    def _aggregate_arguments(
-        self,
-        aggregates: Sequence[AggSpec],
-        batch: TupleBatch,
-        runtime: QueryRuntime,
-    ) -> dict[int, list[prov.NumExpr]]:
-        """Per-aggregate numeric provenance of each input row."""
-        out: dict[int, list[prov.NumExpr]] = {}
-        for position, spec in enumerate(aggregates):
-            if spec.arg is None:
-                continue
-            out[position] = spec.arg.symbolic_num(batch, runtime)
-        return out
-
-
-def _aggregate_polynomial(
-    spec: AggSpec,
-    position: int,
-    members: list[tuple[int, prov.BoolExpr]],
-    agg_values: dict[int, list[prov.NumExpr]],
-) -> prov.NumExpr:
-    """Provenance polynomial of one aggregate cell."""
-    if spec.func == "count":
-        return prov.LinearSum([(1.0, cond) for _, cond in members])
-    values = agg_values[position]
-    terms: list[prov.NumExpr] = []
-    for row_index, cond in members:
-        value = values[row_index]
-        if cond.is_true():
-            terms.append(value)
-        else:
-            terms.append(prov.mul_(prov.BoolAsNum(cond), value))
-    total = prov.add_(*terms) if terms else prov.ConstNum(0.0)
-    if spec.func == "sum":
-        return total
-    count = prov.LinearSum([(1.0, cond) for _, cond in members])
-    return prov.DivExpr(total, count)
 
 
 def _result_relation(concrete: TupleBatch) -> Relation:

@@ -1,14 +1,18 @@
 """The expression language of Query 2.0 plans.
 
 Expressions evaluate *concretely* (numpy arrays, one value per tuple) and,
-for the debug-mode executor, *symbolically*:
+for the debug-mode executor, *symbolically* as node ids in the runtime's
+:class:`~repro.relational.compile.NodePool`:
 
-- boolean expressions produce per-tuple
-  :class:`~repro.relational.provenance.BoolExpr` conditions in which
+- boolean expressions produce per-tuple existence conditions in which
   deterministic sub-predicates are folded to TRUE/FALSE and model-dependent
-  comparisons become :class:`~repro.relational.provenance.PredIs` atoms;
-- numeric expressions (aggregate arguments) produce per-tuple
-  :class:`~repro.relational.provenance.NumExpr` polynomials.
+  comparisons become prediction atoms;
+- numeric expressions (aggregate arguments) produce per-tuple provenance
+  polynomials.
+
+The seed's tree-building forms (``symbolic_bool``/``symbolic_num`` over
+:class:`~repro.relational.provenance.BoolExpr` objects) survive as the
+test oracle ``tests/oracles/expressions.py``.
 
 ``M.predict(...)`` is the only source of uncertainty: the queried data is
 trusted (the paper's standing assumption), so everything not reachable from
@@ -23,7 +27,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..errors import QueryError, UnsupportedQueryError
-from . import provenance as prov
 from .context import QueryRuntime, TupleBatch
 
 _COMPARATORS = {
@@ -64,33 +67,7 @@ class Expr:
             out |= child.referenced_columns()
         return out
 
-    # -- symbolic interfaces (overridden where meaningful) -------------------
-
-    def symbolic_bool(
-        self, batch: TupleBatch, runtime: QueryRuntime
-    ) -> list[prov.BoolExpr]:
-        """Per-tuple boolean provenance.  Default: fold concrete values."""
-        if self.depends_on_model():
-            raise UnsupportedQueryError(
-                f"cannot build boolean provenance for {self!r}",
-                feature=type(self).__name__,
-            )
-        values = np.asarray(self.eval(batch, runtime), dtype=bool)
-        return [prov.const(bool(value)) for value in values]
-
-    def symbolic_num(
-        self, batch: TupleBatch, runtime: QueryRuntime
-    ) -> list[prov.NumExpr]:
-        """Per-tuple numeric provenance.  Default: fold concrete values."""
-        if self.depends_on_model():
-            raise UnsupportedQueryError(
-                f"cannot build numeric provenance for {self!r}",
-                feature=type(self).__name__,
-            )
-        values = np.asarray(self.eval(batch, runtime), dtype=float)
-        return [prov.ConstNum(float(value)) for value in values]
-
-    # -- compiled (node-emitting) symbolic interfaces ------------------------
+    # -- symbolic (node-emitting) interfaces, overridden where meaningful ----
 
     def symbolic_bool_nodes(
         self, batch: TupleBatch, runtime: QueryRuntime
@@ -164,29 +141,6 @@ class Arith(Expr):
         right = np.asarray(self.right.eval(batch, runtime), dtype=float)
         return _ARITHMETIC[self.op](left, right)
 
-    def symbolic_num(
-        self, batch: TupleBatch, runtime: QueryRuntime
-    ) -> list[prov.NumExpr]:
-        if not self.depends_on_model():
-            return super().symbolic_num(batch, runtime)
-        left = self.left.symbolic_num(batch, runtime)
-        right = self.right.symbolic_num(batch, runtime)
-        if self.op == "+":
-            return [prov.add_(l, r) for l, r in zip(left, right)]
-        if self.op == "-":
-            return [
-                prov.add_(l, prov.mul_(prov.ConstNum(-1.0), r))
-                for l, r in zip(left, right)
-            ]
-        if self.op == "*":
-            return [prov.mul_(l, r) for l, r in zip(left, right)]
-        if self.op == "/":
-            return [prov.DivExpr(l, r) for l, r in zip(left, right)]
-        raise UnsupportedQueryError(
-            f"operator {self.op!r} over model predictions is not supported",
-            feature="arith-over-predict",
-        )
-
     def symbolic_num_nodes(
         self, batch: TupleBatch, runtime: QueryRuntime
     ) -> np.ndarray:
@@ -259,23 +213,6 @@ class ModelPredict(Expr):
             self.model_name, relation_name, row_ids, features
         ).tolist()
 
-    def symbolic_num(
-        self, batch: TupleBatch, runtime: QueryRuntime
-    ) -> list[prov.NumExpr]:
-        classes = runtime.model_classes(self.model_name)
-        try:
-            class_values = [(label, float(label)) for label in classes]
-        except (TypeError, ValueError) as exc:
-            raise UnsupportedQueryError(
-                f"model {self.model_name!r} has non-numeric classes; its "
-                "predictions cannot appear in an arithmetic context",
-                feature="predict-as-number",
-            ) from exc
-        return [
-            prov.pred_value(site_id, class_values)
-            for site_id in self.site_ids(batch, runtime)
-        ]
-
     def symbolic_num_nodes(
         self, batch: TupleBatch, runtime: QueryRuntime
     ) -> np.ndarray:
@@ -317,27 +254,6 @@ class Cmp(Expr):
         left = self.left.eval(batch, runtime)
         right = self.right.eval(batch, runtime)
         return np.asarray(_COMPARATORS[self.op](left, right), dtype=bool)
-
-    def symbolic_bool(
-        self, batch: TupleBatch, runtime: QueryRuntime
-    ) -> list[prov.BoolExpr]:
-        left_model = self.left.depends_on_model()
-        right_model = self.right.depends_on_model()
-        if not left_model and not right_model:
-            return super().symbolic_bool(batch, runtime)
-
-        if isinstance(self.left, ModelPredict) and not right_model:
-            return self._predict_vs_values(self.left, self.right, self.op, batch, runtime)
-        if isinstance(self.right, ModelPredict) and not left_model:
-            flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(self.op, self.op)
-            return self._predict_vs_values(self.right, self.left, flipped, batch, runtime)
-        if isinstance(self.left, ModelPredict) and isinstance(self.right, ModelPredict):
-            return self._predict_vs_predict(batch, runtime)
-        raise UnsupportedQueryError(
-            f"comparison {self!r} mixes predictions into arithmetic; "
-            "only direct comparisons of predict(...) are supported in WHERE",
-            feature="cmp-over-predict",
-        )
 
     def symbolic_bool_nodes(
         self, batch: TupleBatch, runtime: QueryRuntime
@@ -457,61 +373,6 @@ class Cmp(Expr):
                 out[diff] = pool.or_segments(conj, offsets)
         return out
 
-    def _predict_vs_values(
-        self,
-        predict: ModelPredict,
-        other: Expr,
-        op: str,
-        batch: TupleBatch,
-        runtime: QueryRuntime,
-    ) -> list[prov.BoolExpr]:
-        classes = runtime.model_classes(predict.model_name)
-        site_ids = predict.site_ids(batch, runtime)
-        values = other.eval(batch, runtime)
-        compare = _COMPARATORS[op]
-        out: list[prov.BoolExpr] = []
-        for site_id, value in zip(site_ids, values):
-            value = value.item() if hasattr(value, "item") else value
-            matching = [label for label in classes if _safe_compare(compare, label, value)]
-            if len(matching) == len(classes):
-                out.append(prov.TRUE)  # exhaustive: always satisfied
-            else:
-                out.append(
-                    prov.or_(*[prov.PredIs(site_id, label) for label in matching])
-                )
-        return out
-
-    def _predict_vs_predict(
-        self, batch: TupleBatch, runtime: QueryRuntime
-    ) -> list[prov.BoolExpr]:
-        left: ModelPredict = self.left  # type: ignore[assignment]
-        right: ModelPredict = self.right  # type: ignore[assignment]
-        left_classes = runtime.model_classes(left.model_name)
-        right_classes = runtime.model_classes(right.model_name)
-        left_sites = left.site_ids(batch, runtime)
-        right_sites = right.site_ids(batch, runtime)
-        compare = _COMPARATORS[self.op]
-        out: list[prov.BoolExpr] = []
-        for left_site, right_site in zip(left_sites, right_sites):
-            if left_site == right_site:
-                # Same base row on both sides: predict(x) op predict(x).
-                matching = [c for c in left_classes if _safe_compare(compare, c, c)]
-                if len(matching) == len(left_classes):
-                    out.append(prov.TRUE)
-                else:
-                    out.append(
-                        prov.or_(*[prov.PredIs(left_site, c) for c in matching])
-                    )
-                continue
-            disjuncts = [
-                prov.and_(prov.PredIs(left_site, lc), prov.PredIs(right_site, rc))
-                for lc in left_classes
-                for rc in right_classes
-                if _safe_compare(compare, lc, rc)
-            ]
-            out.append(prov.or_(*disjuncts))
-        return out
-
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -532,7 +393,7 @@ def _safe_compare_array(compare, label, values: np.ndarray) -> np.ndarray:
     except TypeError:
         pass
     # numpy raised on, or collapsed, an incomparable pairing; fall back to
-    # the per-element safe comparison (matching the tree reference, which
+    # the per-element safe comparison (matching the tree oracle, which
     # folds only the genuinely incomparable elements to False).
     return np.asarray(
         [_safe_compare(compare, label, value) for value in values.tolist()],
@@ -556,12 +417,6 @@ class BoolAnd(Expr):
         for child in self._children:
             result &= np.asarray(child.eval(batch, runtime), dtype=bool)
         return result
-
-    def symbolic_bool(
-        self, batch: TupleBatch, runtime: QueryRuntime
-    ) -> list[prov.BoolExpr]:
-        parts = [child.symbolic_bool(batch, runtime) for child in self._children]
-        return [prov.and_(*row_parts) for row_parts in zip(*parts)]
 
     def symbolic_bool_nodes(
         self, batch: TupleBatch, runtime: QueryRuntime
@@ -592,12 +447,6 @@ class BoolOr(Expr):
             result |= np.asarray(child.eval(batch, runtime), dtype=bool)
         return result
 
-    def symbolic_bool(
-        self, batch: TupleBatch, runtime: QueryRuntime
-    ) -> list[prov.BoolExpr]:
-        parts = [child.symbolic_bool(batch, runtime) for child in self._children]
-        return [prov.or_(*row_parts) for row_parts in zip(*parts)]
-
     def symbolic_bool_nodes(
         self, batch: TupleBatch, runtime: QueryRuntime
     ) -> np.ndarray:
@@ -621,11 +470,6 @@ class BoolNot(Expr):
 
     def eval(self, batch: TupleBatch, runtime: QueryRuntime) -> np.ndarray:
         return ~np.asarray(self.child.eval(batch, runtime), dtype=bool)
-
-    def symbolic_bool(
-        self, batch: TupleBatch, runtime: QueryRuntime
-    ) -> list[prov.BoolExpr]:
-        return [prov.not_(cond) for cond in self.child.symbolic_bool(batch, runtime)]
 
     def symbolic_bool_nodes(
         self, batch: TupleBatch, runtime: QueryRuntime

@@ -1,6 +1,5 @@
 """Holistic's differentiable relaxation of provenance + complaints."""
 
 from .objective import RelaxedComplaintObjective
-from .relax import Relaxer
 
-__all__ = ["RelaxedComplaintObjective", "Relaxer"]
+__all__ = ["RelaxedComplaintObjective"]

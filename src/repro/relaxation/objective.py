@@ -12,21 +12,16 @@ model's class probabilities at the query's inference sites.  Inequality
 value complaints are treated as equalities only while violated, matching
 the paper's train-rank-fix handling.
 
-Two engines compute ``q`` and ``∂q/∂P``:
+Every complaint's polynomial is a root of one
+:class:`~repro.relational.compile.CompiledProvenance` program over the
+executor's node ids.  One vectorized forward pass produces all relaxed
+values; the residual-weighted seed is pushed through one reverse sweep, so
+the whole complaint set costs two batched array passes regardless of how
+many complaints there are.  ``∇_θ q`` is then
+``prob_vjp(X_sites, ∂q/∂P)`` — one weighted backward pass in the model.
 
-- ``"compiled"`` (default): every complaint's polynomial is a root of one
-  :class:`~repro.relational.compile.CompiledProvenance` program — on a
-  compiled query result the executor's node ids are used directly, on a
-  tree result the polynomials are lowered first.  One vectorized forward
-  pass produces all relaxed values; the residual-weighted seed is pushed
-  through one reverse sweep, so the whole complaint set costs two batched
-  array passes regardless of how many complaints there are.
-- ``"interpreted"``: the original per-complaint
-  :class:`~repro.relaxation.relax.Relaxer` reverse sweeps over expression
-  trees — the golden reference the compiled engine is tested against.
-
-``∇_θ q`` is then ``prob_vjp(X_sites, ∂q/∂P)`` — one weighted backward
-pass in the model, shared by both engines.
+The seed's per-complaint tree interpreter survives as the test oracle
+``tests/oracles/objective.py``; equivalence tests pin this sweep to it.
 """
 
 from __future__ import annotations
@@ -41,32 +36,19 @@ from ..complaints.complaint import (
     ValueComplaint,
 )
 from ..errors import ComplaintError, RelaxationError
-from ..relational.compile import FALSE_NODE, CompiledProvenance, NodePool
+from ..relational.compile import FALSE_NODE
 from ..relational.executor import QueryResult
-from .relax import Relaxer
 
 
 class RelaxedComplaintObjective:
     """The differentiable q(θ) for one query's complaint set."""
 
-    def __init__(
-        self, result: QueryResult, complaints: Sequence, engine: str = "auto"
-    ) -> None:
+    def __init__(self, result: QueryResult, complaints: Sequence) -> None:
         if not result.debug:
             raise RelaxationError("Holistic needs a debug-mode query result")
-        if engine not in ("auto", "compiled", "interpreted"):
-            raise RelaxationError(
-                f"engine must be 'auto', 'compiled', or 'interpreted', got {engine!r}"
-            )
         self.result = result
         self.complaints = list(complaints)
         self.runtime = result.runtime
-        if engine == "auto":
-            # Compiled results use the batched engine; tree results stay on
-            # the interpreted reference so provenance="tree" is end-to-end
-            # golden.
-            engine = "compiled" if result.compiled else "interpreted"
-        self.engine = engine
 
         n_sites = len(self.runtime.sites)
         if not n_sites:
@@ -81,16 +63,14 @@ class RelaxedComplaintObjective:
         self.model_name = model_names.pop()
         self.model = self.runtime.model(self.model_name)
         self.X_sites = self.runtime.site_features()
-        self.relaxer = Relaxer.for_model(self.model)
-        self._site_arr = np.arange(n_sites, dtype=np.int64)
-        self._max_site = n_sites
-
-        if self.engine == "compiled":
-            self._build_compiled_program()
+        self.class_columns = {
+            label: index for index, label in enumerate(self.model.classes)
+        }
+        self._build_program()
 
     # -- compiled program over all complaint polynomials ---------------------------
 
-    def _build_compiled_program(self) -> None:
+    def _build_program(self) -> None:
         """One compiled root per relaxable complaint term.
 
         Per root we record ``(kind, target)``: for value complaints the
@@ -100,17 +80,18 @@ class RelaxedComplaintObjective:
         the program.
         """
         result = self.result
+        if not result.compiled:
+            raise RelaxationError(
+                "Holistic needs compiled lineage: Executor.execute(plan, debug=True)"
+            )
         roots: list[int] = []
         self._root_targets: list[float] = []
         self._pred_terms: list[tuple[int, int]] = []  # (site_id, column)
-        pool = result.pool
-        if pool is None:
-            pool = NodePool()
         for complaint in self.complaints:
             if isinstance(complaint, PredictionComplaint):
                 site_id = complaint.site_id(result)
                 try:
-                    column = self.relaxer.class_columns[complaint.label]
+                    column = self.class_columns[complaint.label]
                 except KeyError:
                     raise RelaxationError(
                         f"atom class {complaint.label!r} is not a model class"
@@ -121,32 +102,25 @@ class RelaxedComplaintObjective:
                 if complaint.op in ("<=", ">=") and complaint.is_satisfied(result):
                     # Satisfied inequalities contribute nothing; keep their
                     # polynomials out of the program entirely so they are
-                    # never relaxed (the interpreted path short-circuits
-                    # before relaxing too — e.g. an AVG over a group whose
-                    # relaxed count is zero must not raise here).
+                    # never relaxed (e.g. an AVG over a group whose relaxed
+                    # count is zero must not raise here).
                     continue
-                node = _value_complaint_node(result, complaint, pool)
+                node = _value_complaint_node(result, complaint)
                 roots.append(node)
                 self._root_targets.append(float(complaint.value))
                 continue
             if isinstance(complaint, TupleComplaint):
-                node = _tuple_complaint_node(result, complaint, pool)
+                node = _tuple_complaint_node(result, complaint)
                 roots.append(node)
                 self._root_targets.append(0.0)
                 continue
             raise RelaxationError(
                 f"unknown complaint type {type(complaint).__name__}"
             )
-        self._pool = pool
         roots = np.asarray(roots, dtype=np.int64)
-        if not roots.size:
-            self._program = None
-        elif result.compiled:
-            # Cases over one plan look their roots up in one frozen pool:
-            # the result shares one program per root array among them.
-            self._program = result.program(roots)
-        else:
-            self._program = CompiledProvenance(pool, roots)
+        # Cases over one plan look their roots up in one frozen pool: the
+        # result shares one program per root array among them.
+        self._program = result.program(roots) if roots.size else None
 
     # -- probability matrix ------------------------------------------------------
 
@@ -154,31 +128,15 @@ class RelaxedComplaintObjective:
         """Current class probabilities at each inference site."""
         return np.asarray(self.model.predict_proba(self.X_sites), dtype=np.float64)
 
-    def _expand(self, P_rows: np.ndarray) -> np.ndarray:
-        """Map row-indexed P to site-indexed P for the relaxation."""
-        P = np.zeros((self._max_site, P_rows.shape[1]))
-        P[self._site_arr] = P_rows
-        return P
-
-    def _collapse(self, grad_sites: np.ndarray) -> np.ndarray:
-        return grad_sites[self._site_arr]
-
     # -- q and its gradients --------------------------------------------------------
 
     def q_value_and_pgrad(self, P_rows: np.ndarray) -> tuple[float, np.ndarray]:
-        """``q`` and ``∂q/∂P`` (both in row-indexed site order)."""
-        if self.engine == "compiled":
-            return self._q_compiled(P_rows)
-        return self._q_interpreted(P_rows)
-
-    def _q_compiled(self, P_rows: np.ndarray) -> tuple[float, np.ndarray]:
-        P = self._expand(P_rows)
+        """``q`` and ``∂q/∂P``, both indexed by site id."""
+        P = np.asarray(P_rows, dtype=np.float64)
         total = 0.0
         grad = np.zeros_like(P)
         if self._program is not None:
-            values, cache = self._program.relaxed_forward(
-                P, self.relaxer.class_columns
-            )
+            values, cache = self._program.relaxed_forward(P, self.class_columns)
             residuals = values - np.asarray(self._root_targets)
             total += float(np.sum(residuals**2))
             grad += self._program.relaxed_backward(cache, 2.0 * residuals)
@@ -186,38 +144,7 @@ class RelaxedComplaintObjective:
             residual = float(P[site_id, column]) - 1.0
             total += residual**2
             grad[site_id, column] += 2.0 * residual
-        return total, self._collapse(grad)
-
-    def _q_interpreted(self, P_rows: np.ndarray) -> tuple[float, np.ndarray]:
-        P = self._expand(P_rows)
-        total = 0.0
-        grad = np.zeros_like(P)
-        for complaint in self.complaints:
-            value, cgrad = self._complaint_term(complaint, P)
-            total += value
-            grad += cgrad
-        return total, self._collapse(grad)
-
-    def _complaint_term(self, complaint, P: np.ndarray) -> tuple[float, np.ndarray]:
-        if isinstance(complaint, ValueComplaint):
-            poly = complaint.polynomial(self.result)
-            if complaint.op in ("<=", ">=") and complaint.is_satisfied(self.result):
-                return 0.0, np.zeros_like(P)
-            relaxed, pgrad = self.relaxer.value_and_grad(poly, P)
-            residual = relaxed - complaint.value
-            return residual**2, 2.0 * residual * pgrad
-        if isinstance(complaint, TupleComplaint):
-            condition = complaint.condition(self.result)
-            relaxed, pgrad = self.relaxer.value_and_grad(condition, P)
-            return relaxed**2, 2.0 * relaxed * pgrad
-        if isinstance(complaint, PredictionComplaint):
-            site_id = complaint.site_id(self.result)
-            column = self.relaxer.class_columns[complaint.label]
-            residual = float(P[site_id, column]) - 1.0
-            pgrad = np.zeros_like(P)
-            pgrad[site_id, column] = 2.0 * residual
-            return residual**2, pgrad
-        raise RelaxationError(f"unknown complaint type {type(complaint).__name__}")
+        return total, grad
 
     def q_value(self) -> float:
         q, _ = self.q_value_and_pgrad(self.probabilities())
@@ -290,29 +217,21 @@ def batched_q_and_grads(
     return q_values, q_grads
 
 
-def _value_complaint_node(
-    result: QueryResult, complaint: ValueComplaint, pool: NodePool
-) -> int:
+def _value_complaint_node(result: QueryResult, complaint: ValueComplaint) -> int:
     """Compiled node of a value complaint's cell polynomial."""
-    if result.compiled:
-        if complaint.group_key is not None:
-            group = result.group_by_key(complaint.group_key)
-            try:
-                return group.cell_nodes[complaint.column]
-            except KeyError:
-                raise RelaxationError(
-                    f"column {complaint.column!r} is not an aggregate output"
-                ) from None
-        return result.cell_node(complaint.row_index, complaint.column)
-    return pool.add_expr(complaint.polynomial(result))
+    if complaint.group_key is not None:
+        group = result.group_by_key(complaint.group_key)
+        try:
+            return group.cell_nodes[complaint.column]
+        except KeyError:
+            raise RelaxationError(
+                f"column {complaint.column!r} is not an aggregate output"
+            ) from None
+    return result.cell_node(complaint.row_index, complaint.column)
 
 
-def _tuple_complaint_node(
-    result: QueryResult, complaint: TupleComplaint, pool: NodePool
-) -> int:
+def _tuple_complaint_node(result: QueryResult, complaint: TupleComplaint) -> int:
     """Compiled node of a tuple complaint's existence condition."""
-    if not result.compiled:
-        return pool.add_expr(complaint.condition(result))
     if complaint.group_key is not None:
         node = result.group_by_key(complaint.group_key).condition_node
         if node is None:

@@ -113,6 +113,71 @@ class TestCheckGolden:
         assert found[0].rule == "GOLD001"
 
 
+ORACLE_BODY = """
+def oracle_solve(x):
+    return x - 1
+"""
+
+ORACLE_TEST_BODY = """
+from oracles.ref import oracle_solve
+
+def test_oracle_solve():
+    assert oracle_solve(1) == 0
+"""
+
+
+@pytest.fixture
+def oracle_project(tmp_path):
+    """A golden reference that lives under ``tests/oracles/``."""
+    (tmp_path / "src" / "mypkg").mkdir(parents=True)
+    oracles = tmp_path / "tests" / "oracles"
+    oracles.mkdir(parents=True)
+    (oracles / "__init__.py").write_text("")
+    (oracles / "ref.py").write_text(textwrap.dedent(ORACLE_BODY))
+    (tmp_path / "tests" / "test_ref.py").write_text(
+        textwrap.dedent(ORACLE_TEST_BODY)
+    )
+    manifest = tmp_path / "golden_paths.toml"
+    digest, _ = body_hash(tmp_path, "oracles.ref", "oracle_solve")
+    assert digest is not None
+    manifest.write_text(textwrap.dedent(f"""
+        [[golden]]
+        module = "oracles.ref"
+        qualname = "oracle_solve"
+        sha256 = "{digest}"
+        test_pattern = "oracle_solve"
+        why = "test oracle for the fast path"
+    """))
+    return tmp_path, manifest
+
+
+class TestTestsSideOracle:
+    def test_untouched_oracle_is_clean(self, oracle_project):
+        root, manifest = oracle_project
+        assert gold_findings(root, manifest) == []
+
+    def test_oracle_body_mutation_is_detected(self, oracle_project):
+        root, manifest = oracle_project
+        ref = root / "tests" / "oracles" / "ref.py"
+        ref.write_text(textwrap.dedent(ORACLE_BODY).replace("x - 1", "x - 2"))
+        found = gold_findings(root, manifest)
+        assert len(found) == 1
+        assert "oracles.ref:oracle_solve" in found[0].message
+        assert "changed" in found[0].message
+        assert found[0].path == "tests/oracles/ref.py"
+
+    def test_pattern_only_in_the_oracle_file_is_detected(self, oracle_project):
+        # The oracle's own file mentions its name; that is no proof that
+        # a test still exercises it.
+        root, manifest = oracle_project
+        (root / "tests" / "test_ref.py").write_text(
+            "def test_other():\n    assert True\n"
+        )
+        found = gold_findings(root, manifest)
+        assert len(found) == 1
+        assert "no test referencing" in found[0].message
+
+
 class TestUpdateManifest:
     def test_update_refreshes_hashes(self, project):
         root, manifest = project
@@ -146,4 +211,5 @@ class TestShippedManifest:
 
         labels = {entry.label for entry in load_manifest(DEFAULT_MANIFEST)}
         assert "repro.ilp.encode:TiresiasEncoder" in labels
-        assert "repro.ilp.solver:_lp_relaxation" in labels
+        assert "oracles.solver:_lp_relaxation" in labels
+        assert "oracles.objective:InterpretedObjective._q_interpreted" in labels

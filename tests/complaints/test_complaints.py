@@ -14,6 +14,8 @@ from repro.complaints import (
 from repro.errors import ComplaintError
 from repro.relational import Executor, plan_sql
 
+from oracles import TreeExecutor
+
 
 @pytest.fixture()
 def count_result(simple_db):
@@ -221,9 +223,7 @@ class TestColumnarSatisfied:
 
     def test_tree_results_fall_back(self, simple_db):
         plan = plan_sql("SELECT COUNT(*) FROM R WHERE predict(*) = 1", simple_db)
-        result = Executor(simple_db).execute(
-            plan, debug=True, provenance="tree"
-        )
+        result = TreeExecutor(simple_db).execute(plan, debug=True)
         current = result.scalar("count")
         case = ComplaintCase(
             "q",

@@ -2,7 +2,6 @@
 
 import itertools
 import types
-from functools import partialmethod
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from repro.influence.functions import q_grad_for_target_predictions
 from repro.ml import LogisticRegression
 from repro.relational import Database, Executor, Relation
 from repro.relational.sql import plan_sql
+
+from oracles import tree_reference
 
 
 @pytest.fixture()
@@ -431,11 +432,7 @@ class TestTreeOracleLoop:
 
         compiled = run()
         with monkeypatch.context() as patch:
-            patch.setattr(
-                Executor,
-                "execute",
-                partialmethod(Executor.execute, provenance="tree"),
-            )
+            tree_reference(patch)
             plan = plan_sql(case.query, db)
             assert not Executor(db).execute(plan, debug=True).compiled
             tree = run()

@@ -48,6 +48,8 @@ from repro.relational import (
     Scan,
 )
 
+from oracles import TreeExecutor
+
 SEEDS = list(range(8))
 # Node budgets, not wall clock: every solve that finds an optimum here
 # needs a few dozen nodes at most.
@@ -211,7 +213,7 @@ def test_program_signature_sees_fixed_variables():
 def build_encoders(join_db, seed):
     rng = np.random.default_rng(seed)
     plan, shape = random_plan(rng)
-    result = Executor(join_db).execute(plan, debug=True, provenance="compiled")
+    result = Executor(join_db).execute(plan, debug=True)
     complaints = complaints_for(rng, result, shape)
     if not complaints:
         pytest.skip("sampled plan produced an empty relation")
@@ -276,7 +278,7 @@ class TestCrossComplaintDedup:
         plan, _ = random_plan(rng)
         while True:
             result = Executor(join_db).execute(
-                plan, debug=True, provenance="compiled"
+                plan, debug=True
             )
             if result.groups is not None and len(result.relation) >= 1:
                 break
@@ -301,7 +303,7 @@ class TestCrossComplaintDedup:
         plan, _ = random_plan(rng)
         while True:
             result = Executor(join_db).execute(
-                plan, debug=True, provenance="compiled"
+                plan, debug=True
             )
             if result.groups is not None and len(result.relation) >= 1:
                 break
@@ -330,7 +332,7 @@ class TestTwoStepRemovalOrders:
             plan, shape = random_plan(rng)
             if shape != "selection":
                 break
-        result = Executor(join_db).execute(plan, debug=True, provenance="compiled")
+        result = Executor(join_db).execute(plan, debug=True)
         complaints = complaints_for(rng, result, shape)
         if not complaints:
             pytest.skip("sampled plan produced an empty relation")
@@ -377,8 +379,8 @@ class TestEncoderDispatch:
         rng = np.random.default_rng(1)
         plan, _ = random_plan(rng)
         executor = Executor(join_db)
-        compiled_result = executor.execute(plan, debug=True, provenance="compiled")
-        tree_result = executor.execute(plan, debug=True, provenance="tree")
+        compiled_result = executor.execute(plan, debug=True)
+        tree_result = TreeExecutor(join_db).execute(plan, debug=True)
         assert isinstance(make_encoder(compiled_result), CompiledILPEncoder)
         # Tree-mode results have no pool: always the tree walk.
         encoder = make_encoder(tree_result)
@@ -413,7 +415,7 @@ class TestAuxCacheKeying:
     def test_pool_materialized_exprs_key_by_node_id(self, join_db):
         rng = np.random.default_rng(2)
         plan, shape = random_plan(rng)
-        result = Executor(join_db).execute(plan, debug=True, provenance="compiled")
+        result = Executor(join_db).execute(plan, debug=True)
         if len(result.relation) == 0:
             pytest.skip("sampled plan produced an empty relation")
         encoder = TiresiasEncoder(result)

@@ -237,6 +237,22 @@ class TestEnumeration:
         solutions = enumerate_optima(program, max_solutions=4)
         assert len(solutions) == 4
 
+    def test_capped_enumeration_is_a_prefix(self):
+        # The first k optima do not depend on max_solutions: a capped run
+        # returns, bit for bit, the head of a longer run.  C(6, 3) = 20
+        # tied optima, so no cap below runs out of solutions.
+        program = self.count_program(6, 3)
+        cap = 8
+        full = enumerate_optima(program, max_solutions=cap)
+        assert len(full) == cap
+        for k in range(1, cap + 1):
+            capped = enumerate_optima(program, max_solutions=k)
+            assert len(capped) == k
+            for got, want in zip(capped, full[:k]):
+                assert got.objective == want.objective
+                assert got.values.dtype == want.values.dtype
+                np.testing.assert_array_equal(got.values, want.values)
+
     def test_unique_solution(self):
         program = self.count_program(4, 4)
         solutions = enumerate_optima(program, max_solutions=10)

@@ -2,8 +2,8 @@
 
 :func:`solve` and :func:`enumerate_optima` must return the same optimal
 vertices as the seed's per-call ``linprog`` branch & bound
-(:func:`solve_reference` / :func:`enumerate_optima_reference`; both are
-HiGHS underneath), so optimum enumeration — and TwoStep's removal orders —
+(``tests/oracles/solver.py``: :func:`solve_reference` /
+:func:`enumerate_optima_reference`; both are HiGHS underneath), so optimum enumeration — and TwoStep's removal orders —
 stay bit-identical to the seed.
 """
 
@@ -13,15 +13,9 @@ import pytest
 from repro.errors import ILPError, InfeasibleError
 from repro.ilp import solver
 from repro.ilp.model import BinaryProgram
-from repro.ilp.solver import (
-    PersistentLP,
-    _highs_core,
-    _lp_relaxation,
-    enumerate_optima,
-    enumerate_optima_reference,
-    solve,
-    solve_reference,
-)
+from repro.ilp.solver import PersistentLP, _highs_core, enumerate_optima, solve
+
+from oracles.solver import _lp_relaxation, enumerate_optima_reference, solve_reference
 
 pytestmark = pytest.mark.skipif(
     _highs_core is None, reason="HiGHS bindings unavailable"

@@ -17,10 +17,10 @@ shape ``(n_sites, n_classes)`` and returns both the value and ``∂value/∂P``
 via one reverse sweep over the expression DAG.  Composed with the model's
 probability VJP this yields ``∇_θ q(θ)`` for influence analysis.
 
-This per-tree interpreter is the *golden reference* for the relaxation
+This per-tree interpreter is the test oracle for the relaxation
 semantics.  The production path
 (:class:`~repro.relational.compile.CompiledProvenance`, used by
-:class:`~repro.relaxation.objective.RelaxedComplaintObjective` by default)
+:class:`~repro.relaxation.objective.RelaxedComplaintObjective`)
 evaluates every complaint polynomial of a query in one level-batched numpy
 sweep and is pinned to this implementation by randomized equivalence tests
 (values and gradients within 1e-9).
@@ -32,8 +32,8 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import RelaxationError
-from ..relational import provenance as prov
+from repro.errors import RelaxationError
+from repro.relational import provenance as prov
 
 
 class Relaxer:

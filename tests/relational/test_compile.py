@@ -1,4 +1,4 @@
-"""Compiled provenance vs. the interpreted golden reference.
+"""Compiled provenance vs. the interpreted oracle.
 
 Randomized ``BoolExpr``/``NumExpr`` DAGs are lowered into a
 :class:`~repro.relational.compile.NodePool` and evaluated three ways —
@@ -17,7 +17,9 @@ from repro.relational.compile import (
     CompiledProvenance,
     NodePool,
 )
-from repro.relaxation import Relaxer
+
+from oracles import Relaxer
+from oracles.lowering import add_expr, add_exprs
 
 N_SITES = 8
 CLASS_COLUMNS = {0: 0, 1: 1}
@@ -75,7 +77,7 @@ class TestRandomizedEquivalence:
             exprs = [random_bool(rng, 3) for _ in range(3)]
             exprs += [random_num(rng, 3) for _ in range(3)]
             pool = NodePool()
-            roots = pool.add_exprs(exprs)
+            roots = add_exprs(pool, exprs)
             program = CompiledProvenance(pool, roots)
 
             assignment = random_assignment(rng)
@@ -105,7 +107,7 @@ class TestRandomizedEquivalence:
         for _ in range(60):
             expr = random_num(rng, 3)
             pool = NodePool()
-            root = pool.add_expr(expr)
+            root = add_expr(pool, expr)
             back = pool.to_expr(root)
             assignment = random_assignment(rng)
             want = float(expr.evaluate(assignment))
@@ -187,14 +189,14 @@ class TestBuilders:
 class TestCompiledProgram:
     def test_missing_site_raises(self):
         pool = NodePool()
-        root = pool.add_expr(prov.PredIs(2, 1))
+        root = add_expr(pool, prov.PredIs(2, 1))
         program = CompiledProvenance(pool, np.asarray([root]))
         with pytest.raises(ProvenanceError):
             program.evaluate({0: 1})
 
     def test_unknown_class_raises_on_relaxation(self):
         pool = NodePool()
-        root = pool.add_expr(prov.PredIs(0, "mystery"))
+        root = add_expr(pool, prov.PredIs(0, "mystery"))
         program = CompiledProvenance(pool, np.asarray([root]))
         with pytest.raises(RelaxationError):
             program.relaxed_values(np.ones((1, 2)), CLASS_COLUMNS)
@@ -204,7 +206,7 @@ class TestCompiledProgram:
         expr = prov.DivExpr(
             prov.ConstNum(1.0), prov.LinearSum([(1.0, prov.PredIs(0, 1))])
         )
-        root = pool.add_expr(expr)
+        root = add_expr(pool, expr)
         program = CompiledProvenance(pool, np.asarray([root]))
         with pytest.raises(RelaxationError):
             program.relaxed_values(np.asarray([[1.0, 0.0]]), CLASS_COLUMNS)
@@ -215,7 +217,7 @@ class TestCompiledProgram:
         # receives the product of the others.
         pool = NodePool()
         expr = prov.and_(prov.PredIs(0, 1), prov.PredIs(1, 1), prov.PredIs(2, 1))
-        root = pool.add_expr(expr)
+        root = add_expr(pool, expr)
         program = CompiledProvenance(pool, np.asarray([root]))
         P = np.asarray([[1.0, 0.0], [0.6, 0.4], [0.2, 0.8]])
         _, grad = program.relaxed_values_and_pgrad(P, np.asarray([1.0]), CLASS_COLUMNS)

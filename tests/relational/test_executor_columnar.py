@@ -1,4 +1,4 @@
-"""Columnar (compiled) executor vs. the tree-building golden reference.
+"""Columnar (compiled) executor vs. the tree-building oracle.
 
 Every query shape the engine supports — selects, joins, projections,
 COUNT/SUM/AVG aggregates, predictions as GROUP BY keys — is executed in
@@ -28,7 +28,7 @@ from repro.relational import (
     Relation,
     Scan,
 )
-from repro.relaxation import Relaxer
+from oracles import Relaxer, TreeExecutor
 
 
 @pytest.fixture()
@@ -148,8 +148,8 @@ def relations_equal(left: Relation, right: Relation):
 class TestCompiledVsTree:
     def test_concrete_output_identical(self, executor, shape):
         plan = QUERY_SHAPES[shape]()
-        compiled = executor.execute(plan, debug=True, provenance="compiled")
-        tree = executor.execute(plan, debug=True, provenance="tree")
+        compiled = executor.execute(plan, debug=True)
+        tree = TreeExecutor(executor.database).execute(plan, debug=True)
         relations_equal(compiled.relation, tree.relation)
         # Non-debug concrete execution matches too.
         plain = executor.execute(plan, debug=False)
@@ -157,8 +157,8 @@ class TestCompiledVsTree:
 
     def test_provenance_semantically_equivalent(self, executor, simple_db, shape):
         plan = QUERY_SHAPES[shape]()
-        compiled = executor.execute(plan, debug=True, provenance="compiled")
-        tree = executor.execute(plan, debug=True, provenance="tree")
+        compiled = executor.execute(plan, debug=True)
+        tree = TreeExecutor(executor.database).execute(plan, debug=True)
         assignment = tree.assignment()
         assert compiled.assignment() == assignment
         rng = np.random.default_rng(17)
@@ -230,8 +230,8 @@ class TestColumnarJoin:
                 ModelPredict("m", Col("R.features")),
             ),
         )
-        compiled = executor.execute(plan, debug=True, provenance="compiled")
-        tree = executor.execute(plan, debug=True, provenance="tree")
+        compiled = executor.execute(plan, debug=True)
+        tree = TreeExecutor(executor.database).execute(plan, debug=True)
         relations_equal(compiled.relation, tree.relation)
         assignment = tree.assignment()
         assert len(compiled.candidate_batch) == len(tree.candidate_batch)
@@ -247,8 +247,8 @@ class TestColumnarJoin:
             Scan("R", "R"),
             Cmp("=", Col("L.key"), Col("R.key")),
         )
-        for provenance in ("compiled", "tree"):
-            result = executor.execute(plan, debug=True, provenance=provenance)
+        for mode in (executor, TreeExecutor(executor.database)):
+            result = mode.execute(plan, debug=True)
             assert len(result.relation) == 0
 
 
@@ -285,8 +285,8 @@ class TestReferenceParityEdgeCases:
     def test_nan_join_keys_never_match(self, nan_db):
         executor = Executor(nan_db)
         plan = Join(Scan("L", "L"), Scan("S", "S"), Cmp("=", Col("L.k"), Col("S.k")))
-        for provenance in ("compiled", "tree"):
-            result = executor.execute(plan, debug=True, provenance=provenance)
+        for mode in (executor, TreeExecutor(executor.database)):
+            result = mode.execute(plan, debug=True)
             assert len(result.relation) == 1  # only the 1.0 ⋈ 1.0 pair
 
     def test_nan_group_keys_stay_distinct(self, nan_db):
@@ -294,8 +294,8 @@ class TestReferenceParityEdgeCases:
         plan = Aggregate(
             Scan("G", "G"), ((Col("k"), "k"),), [AggSpec("count", None, "count")]
         )
-        compiled = executor.execute(plan, debug=True, provenance="compiled")
-        tree = executor.execute(plan, debug=True, provenance="tree")
+        compiled = executor.execute(plan, debug=True)
+        tree = TreeExecutor(executor.database).execute(plan, debug=True)
         assert len(compiled.groups) == len(tree.groups) == 3
         np.testing.assert_array_equal(
             compiled.relation.column("count"), tree.relation.column("count")
@@ -323,8 +323,8 @@ class TestReferenceParityEdgeCases:
         db.add_model("m", fitted_binary_model)
         executor = Executor(db)
         plan = Join(Scan("A", "A"), Scan("B", "B"), Cmp("=", Col("A.k"), Col("B.k")))
-        for provenance in ("compiled", "tree"):
-            result = executor.execute(plan, debug=True, provenance=provenance)
+        for mode in (executor, TreeExecutor(executor.database)):
+            result = mode.execute(plan, debug=True)
             assert len(result.relation) == 0
 
     def test_mixed_type_comparison_falls_back_per_element(self, fitted_binary_model):
@@ -344,8 +344,8 @@ class TestReferenceParityEdgeCases:
         plan = Filter(
             Scan("M", "M"), Cmp("<", ModelPredict("m", Col("features")), Col("c"))
         )
-        compiled = executor.execute(plan, debug=True, provenance="compiled")
-        tree = executor.execute(plan, debug=True, provenance="tree")
+        compiled = executor.execute(plan, debug=True)
+        tree = TreeExecutor(executor.database).execute(plan, debug=True)
         assert len(compiled.candidate_batch) == len(tree.candidate_batch)
         assignment = tree.assignment()
         for index in range(len(tree.candidate_batch)):
@@ -371,8 +371,8 @@ class TestEmptyInputs:
                 AggSpec("avg", Col("value"), "mean"),
             ],
         )
-        for provenance in ("compiled", "tree"):
-            result = executor.execute(plan, debug=True, provenance=provenance)
+        for mode in (executor, TreeExecutor(executor.database)):
+            result = mode.execute(plan, debug=True)
             assert result.relation.column("count")[0] == 0.0
             assert result.relation.column("total")[0] == 0.0
             assert np.isnan(result.relation.column("mean")[0])

@@ -33,6 +33,8 @@ from repro.relational.context import QueryRuntime
 from repro.relational.sql import plan_sql
 from repro.relaxation.objective import RelaxedComplaintObjective
 
+from oracles import TreeExecutor
+
 
 def _corrupted_problem(seed: int, n_query: int):
     """Training data with 20 flipped labels, a fitted model, query rows."""
@@ -201,8 +203,8 @@ class TestMemoMatchesFreshExecution:
         outputs: dict[int, list[tuple]] = {}
         calls = []
 
-        def checked(plan, debug=False, provenance="compiled"):
-            result = memo_execute(plan, debug=debug, provenance=provenance)
+        def checked(plan, debug=False):
+            result = memo_execute(plan, debug=debug)
             fresh = Executor(db).execute(plan, debug=True)
             _assert_matches_fresh(result, fresh, case_of_plan[id(plan)])
             outputs.setdefault(id(plan), []).append(_relation_signature(result))
@@ -340,8 +342,11 @@ class TestMemoEdges:
         db, plan = count_db
         executor = Executor(db)
         executor.execute(plan)
-        executor.execute(plan, debug=True, provenance="tree")
+        tree = TreeExecutor(db)
+        tree.execute(plan, debug=True)
+        tree.execute(plan, debug=True)
         assert (executor.lineage_hits, executor.lineage_misses) == (0, 0)
+        assert (tree.lineage_hits, tree.lineage_misses) == (0, 0)
 
     def test_projected_prediction_is_executed_each_call(self, simple_db):
         plan = plan_sql("SELECT id, predict(*) FROM R WHERE flag = 1", simple_db)

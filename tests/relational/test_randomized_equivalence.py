@@ -5,12 +5,12 @@ operator once; here a seeded generator produces AND/OR-heavy predicates
 over an L ⋈ R equi-join — the MNIST-join shape of the paper's Figure 6,
 with ``predict(L) = predict(R)`` filters mixed into the boolean tree —
 and every sampled plan must agree between the compiled (columnar) and
-tree (golden reference) representations on three levels:
+tree (oracle) representations on three levels:
 
 - the concrete output relation (exact);
 - the relaxed complaint objective's value AND its θ-gradient to 1e-9,
-  compiled engine on the compiled result vs interpreted engine on the
-  tree result;
+  the batched objective on the compiled result vs the interpreted oracle
+  on the tree result;
 - the complaint satisfied flag, tree walk vs columnar evaluation.
 """
 
@@ -42,6 +42,8 @@ from repro.relational import (
     Scan,
 )
 from repro.relaxation import RelaxedComplaintObjective
+
+from oracles import InterpretedObjective, TreeExecutor
 
 SEEDS = list(range(8))
 
@@ -201,8 +203,8 @@ class TestRandomizedCompiledVsTree:
         rng = np.random.default_rng(seed)
         plan, shape = random_plan(rng)
         executor = Executor(join_db)
-        compiled = executor.execute(plan, debug=True, provenance="compiled")
-        tree = executor.execute(plan, debug=True, provenance="tree")
+        compiled = executor.execute(plan, debug=True)
+        tree = TreeExecutor(join_db).execute(plan, debug=True)
 
         relations_equal(compiled.relation, tree.relation)
         # Site ids are assigned in registration order, which the two
@@ -223,9 +225,7 @@ class TestRandomizedCompiledVsTree:
             return
 
         fast = RelaxedComplaintObjective(compiled, complaints)
-        slow = RelaxedComplaintObjective(tree, complaints)
-        assert fast.engine == "compiled"
-        assert slow.engine == "interpreted"
+        slow = InterpretedObjective(tree, complaints)
         assert fast.q_value() == pytest.approx(slow.q_value(), abs=1e-9)
         np.testing.assert_allclose(
             fast.q_grad_theta(), slow.q_grad_theta(), atol=1e-9

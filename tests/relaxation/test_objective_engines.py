@@ -1,11 +1,14 @@
-"""Compiled (batched) vs interpreted complaint objective equivalence."""
+"""Batched complaint objective vs the interpreted oracle: equivalence."""
 
 import numpy as np
 import pytest
 
 from repro.complaints import PredictionComplaint, TupleComplaint, ValueComplaint
+from repro.errors import RelaxationError
 from repro.relational import Database, Executor, Relation, plan_sql
 from repro.relaxation import RelaxedComplaintObjective
+
+from oracles import InterpretedObjective, TreeExecutor
 
 
 @pytest.fixture()
@@ -26,7 +29,8 @@ def count_db(fitted_binary_model):
 
 
 def run_query(db, sql, provenance):
-    return Executor(db).execute(plan_sql(sql, db), debug=True, provenance=provenance)
+    executor = TreeExecutor(db) if provenance == "tree" else Executor(db)
+    return executor.execute(plan_sql(sql, db), debug=True)
 
 
 COMPLAINT_SETS = {
@@ -54,8 +58,8 @@ QUERIES = {
 def test_engines_agree_on_value_and_gradient(count_db, case):
     complaints = COMPLAINT_SETS[case]
     result = run_query(count_db, QUERIES[case], "compiled")
-    compiled = RelaxedComplaintObjective(result, complaints, engine="compiled")
-    interpreted = RelaxedComplaintObjective(result, complaints, engine="interpreted")
+    compiled = RelaxedComplaintObjective(result, complaints)
+    interpreted = InterpretedObjective(result, complaints)
     P = compiled.probabilities()
     q_fast, grad_fast = compiled.q_value_and_pgrad(P)
     q_slow, grad_slow = interpreted.q_value_and_pgrad(P)
@@ -71,9 +75,9 @@ def test_engines_agree_across_result_modes(count_db):
     compiled_result = run_query(count_db, QUERIES["count"], "compiled")
     tree_result = run_query(count_db, QUERIES["count"], "tree")
     fast = RelaxedComplaintObjective(compiled_result, complaints)
-    slow = RelaxedComplaintObjective(tree_result, complaints)
-    assert fast.engine == "compiled"
-    assert slow.engine == "interpreted"
+    slow = InterpretedObjective(tree_result, complaints)
+    with pytest.raises(RelaxationError, match="compiled lineage"):
+        RelaxedComplaintObjective(tree_result, complaints)
     assert fast.q_value() == pytest.approx(slow.q_value(), abs=1e-9)
     np.testing.assert_allclose(fast.q_grad_theta(), slow.q_grad_theta(), atol=1e-9)
 
@@ -85,8 +89,8 @@ def test_satisfied_inequality_never_relaxes_its_polynomial(count_db):
     sql = "SELECT AVG(predict(features)) AS mean FROM R WHERE predict(features) = 1"
     result = run_query(count_db, sql, "compiled")
     complaints = [ValueComplaint(column="mean", op="<=", value=10.0, row_index=0)]
-    compiled = RelaxedComplaintObjective(result, complaints, engine="compiled")
-    interpreted = RelaxedComplaintObjective(result, complaints, engine="interpreted")
+    compiled = RelaxedComplaintObjective(result, complaints)
+    interpreted = InterpretedObjective(result, complaints)
     P = np.zeros_like(compiled.probabilities())
     P[:, 0] = 1.0  # every site predicts class 0: relaxed COUNT of the group is 0
     q_fast, grad_fast = compiled.q_value_and_pgrad(P)
@@ -101,8 +105,8 @@ def test_tuple_complaint_roots(count_db):
     if len(result.relation) == 0:
         pytest.skip("no output tuples to complain about")
     complaints = [TupleComplaint(row_index=0)]
-    compiled = RelaxedComplaintObjective(result, complaints, engine="compiled")
-    interpreted = RelaxedComplaintObjective(result, complaints, engine="interpreted")
+    compiled = RelaxedComplaintObjective(result, complaints)
+    interpreted = InterpretedObjective(result, complaints)
     P = compiled.probabilities()
     q_fast, grad_fast = compiled.q_value_and_pgrad(P)
     q_slow, grad_slow = interpreted.q_value_and_pgrad(P)

@@ -11,7 +11,9 @@ from repro.complaints import PredictionComplaint, TupleComplaint, ValueComplaint
 from repro.errors import RelaxationError
 from repro.relational import Database, Executor, Relation, plan_sql
 from repro.relational import provenance as prov
-from repro.relaxation import RelaxedComplaintObjective, Relaxer
+from repro.relaxation import RelaxedComplaintObjective
+
+from oracles import Relaxer
 
 
 def binary_relaxer(n_sites=4):
