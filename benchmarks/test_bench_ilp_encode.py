@@ -1,47 +1,63 @@
-"""Array-lowered ILP encoding: encode wall clock + exact program parity.
+"""TwoStep's array ILP encoder on the fig6-shaped join workload.
 
-The fig6-shaped join workload across selection / COUNT / grouped
-SUM-AVG complaint shapes.  The bench pins the acceptance properties of
-the compiled encoder:
+The join workload across selection / COUNT / grouped SUM-AVG complaint
+shapes.  The table reports each program's size, the best-of-3 encode wall
+clock, aux-variable dedup and a one-node solve status; the timings are
+printed, not gated.  The gates count work:
 
-- the emitted program is IDENTICAL to the tree encoder's (variable
-  count, objective, constraint rows and coefficient order, fixed
-  variables — names aside), so branch & bound, a pure function of the
-  program, enumerates the same optima in the same order and TwoStep
-  removal orders are bit-identical (the enumeration itself is pinned by
+- every program is IDENTICAL to the tree-walk oracle's
+  (``oracles.encode.TreeEncoder``): variable count, objective, constraint
+  rows and coefficient order, fixed variables — names aside — so branch &
+  bound, a pure function of the program, enumerates the same optima in
+  the same order (the enumeration itself is pinned by
   ``tests/ilp/test_encode_compiled.py``);
-- array lowering (bulk aux-variable blocks + CSR constraint blocks
-  straight from the NodePool) beats the tree walk by at least 2x on
-  every aggregate scenario, at least 3x summed over them;
-- cross-complaint aux dedup fires on the aggregate scenarios, where
+- each complaint costs the array encoder one ``add_constraint`` call and
+  at most one CSR constraint block, where the tree walk makes one call
+  per row;
+- cross-complaint aux dedup fires on the grouped scenario, where
   COUNT/SUM/AVG cells over the same group share member conditions.
 
-The selection row is reported but carries no speedup floor: a handful
-of tuple complaints touch a sliver of the pool, so the compiled
-encoder's one-time pool canonicalization dominates there.
+Identity and call counts are checked at the table's size (depth-4
+predicates) and on a small depth-2 companion, so shallow trees are
+covered too.
 """
 
-from conftest import save_and_print
+import pytest
+from conftest import assert_encodes_like_the_oracle, save_and_print
 
 from repro.experiments import ilp_encode
+from repro.relational import Executor
+
+SIZES = {
+    "table": {"n_left": 240, "n_right": 160, "n_keys": 8, "depth": 4},
+    "small": {"n_left": 24, "n_right": 16, "n_keys": 6, "depth": 2},
+}
 
 
 def test_bench_ilp_encode(benchmark, out_dir):
     result = benchmark.pedantic(
         ilp_encode.run,
-        kwargs={"n_left": 240, "n_right": 160, "n_keys": 8, "depth": 4,
-                "rounds": 3},
+        kwargs={**SIZES["table"], "rounds": 3},
         rounds=1, iterations=1,
     )
     save_and_print(result, out_dir)
 
     rows = {row["scenario"]: row for row in result.rows}
-    assert set(rows) == {
-        "selection", "count", "grouped_sum_avg", "AGGREGATE_TOTAL"
-    }
-    for row in result.rows:
-        assert row["program_identical"], row
-    assert rows["count"]["speedup"] >= 2.0, rows["count"]
-    assert rows["grouped_sum_avg"]["speedup"] >= 2.0, rows["grouped_sum_avg"]
-    assert rows["AGGREGATE_TOTAL"]["speedup"] >= 3.0, rows["AGGREGATE_TOTAL"]
+    assert set(rows) == {"selection", "count", "grouped_sum_avg"}
     assert rows["grouped_sum_avg"]["aux_reused"] > 0
+    for row in result.rows:
+        # Every complaint here is satisfiable: a one-node solve either
+        # proves an optimum or runs out of nodes, never finds infeasibility.
+        assert row["solve_status"].startswith("optimal") or (
+            row["solve_status"] == "ILPTimeoutError"
+        ), row
+
+
+@pytest.mark.parametrize("size", sorted(SIZES))
+def test_ilp_encode_matches_the_oracle(size, monkeypatch):
+    kwargs = dict(SIZES[size])
+    depth = kwargs.pop("depth")
+    executor = Executor(ilp_encode.build_join_database(**kwargs, seed=0))
+    for _, plan, complaints_fn in ilp_encode.build_scenarios(seed=0, depth=depth):
+        result = executor.execute(plan, debug=True)
+        assert_encodes_like_the_oracle(result, complaints_fn(result), monkeypatch)

@@ -111,8 +111,8 @@ class Det001IdKeyedSharedContainer(Rule):
                 node,
                 f"id({_unparse(node.args[0])}) keys the shared container "
                 f"'{_unparse(container)}'; ids are reusable after GC — key "
-                "on a pinned identity wrapper (ilp.encode._ExprKey) or a "
-                "stable node id instead",
+                "on an identity wrapper that holds a strong reference, or a "
+                "stable node id, instead",
             )
 
 

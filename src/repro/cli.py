@@ -8,7 +8,8 @@ Usage::
     python -m repro.cli lint
 
 Each experiment prints its result table (the same tables the benchmark
-suite writes under ``benchmarks/out/``) and optionally saves it.
+suite writes to the untracked ``benchmarks/out/``) and optionally saves
+it.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..errors import ComplaintError
 from ..relational import provenance as prov
+from ..relational.compile import FALSE_NODE
 from ..relational.executor import QueryResult
 
 VALUE_OPS = ("=", "<=", ">=")
@@ -112,39 +113,67 @@ class TupleComplaint:
         """``TupleComplaint.for_lineage(L=3, R=7)`` — tuple from L row 3 ⋈ R row 7."""
         return cls(lineage=tuple(alias_row_ids.items()))
 
-    def condition(self, result: QueryResult) -> prov.BoolExpr:
-        """The existence condition of the offending tuple."""
+    def target(self, result: QueryResult) -> tuple[str, object]:
+        """What the complaint addresses in ``result``.
+
+        ``("group", GroupInfo)`` for ``group_key``, ``("candidate", index)``
+        for ``lineage`` (index into the candidate batch, ``None`` when the
+        tuple is not even a candidate: deterministically filtered, it can
+        never exist and the complaint is vacuously satisfied), and
+        ``("row", row_index)`` otherwise.
+        """
         if self.group_key is not None:
             if result.groups is None:
                 raise ComplaintError("group_key complaint on a non-aggregate result")
             for group in result.groups:
                 if group.key == self.group_key:
-                    return group.condition
+                    return "group", group
             raise ComplaintError(f"no group with key {self.group_key!r}")
         if self.lineage is not None:
-            return self._lineage_condition(result)
-        return result.tuple_condition(self.row_index)
+            batch = result.candidate_batch
+            if batch is None:
+                raise ComplaintError("lineage complaints need a debug-mode result")
+            wanted = dict(self.lineage)
+            unknown = set(wanted) - set(batch.alias_row_ids)
+            if unknown:
+                raise ComplaintError(
+                    f"lineage aliases {sorted(unknown)} not in the query "
+                    f"(available: {sorted(batch.alias_row_ids)})"
+                )
+            mask = np.ones(len(batch), dtype=bool)
+            for alias, row_id in wanted.items():
+                mask &= np.asarray(batch.alias_row_ids[alias]) == row_id
+            matches = np.flatnonzero(mask)
+            return "candidate", int(matches[0]) if matches.size else None
+        return "row", self.row_index
 
-    def _lineage_condition(self, result: QueryResult) -> prov.BoolExpr:
-        batch = result.candidate_batch
-        if batch is None:
-            raise ComplaintError("lineage complaints need a debug-mode result")
-        wanted = dict(self.lineage)
-        unknown = set(wanted) - set(batch.alias_row_ids)
-        if unknown:
-            raise ComplaintError(
-                f"lineage aliases {sorted(unknown)} not in the query "
-                f"(available: {sorted(batch.alias_row_ids)})"
-            )
-        for index in range(len(batch)):
-            if all(
-                int(batch.alias_row_ids[alias][index]) == row_id
-                for alias, row_id in wanted.items()
-            ):
-                return batch.condition(index)
-        # The tuple is not even a candidate (deterministically filtered):
-        # it can never exist, so the complaint is vacuously satisfied.
-        return prov.FALSE
+    def condition(self, result: QueryResult) -> prov.BoolExpr:
+        """The existence condition of the offending tuple."""
+        kind, target = self.target(result)
+        if kind == "group":
+            return target.condition
+        if kind == "candidate":
+            if target is None:
+                return prov.FALSE
+            return result.candidate_batch.condition(target)
+        return result.tuple_condition(target)
+
+    def condition_node(self, result: QueryResult) -> int:
+        """Compiled node of the existence condition (FALSE for a non-candidate)."""
+        kind, target = self.target(result)
+        if kind == "row":
+            return int(result.tuple_condition_node(target))
+        if kind == "group":
+            node = target.condition_node
+        elif target is None:
+            return FALSE_NODE
+        elif result.candidate_cond_nodes is None:
+            node = None
+        else:
+            node = result.candidate_cond_nodes[target]
+        if node is None:
+            raise ComplaintError("condition nodes need compiled mode")
+        return int(node)
 
     def is_satisfied(self, result: QueryResult) -> bool:
         return not self.condition(result).evaluate(result.assignment())
@@ -209,42 +238,15 @@ def all_satisfied(case_results: list[tuple[ComplaintCase, QueryResult]]) -> bool
     )
 
 
-def _complaint_node(complaint: Complaint, result: QueryResult) -> int | None:
-    """The compiled node id a complaint's satisfaction depends on.
-
-    ``None`` means vacuously satisfied (a lineage tuple that is not even a
-    candidate), mirroring the ``prov.FALSE`` arm of the tree path.
-    """
+def _complaint_node(complaint: Complaint, result: QueryResult) -> int:
+    """The compiled node id a complaint's satisfaction depends on."""
     if isinstance(complaint, ValueComplaint):
         return result.cell_node_for(
             complaint.column,
             row_index=complaint.row_index,
             group_key=complaint.group_key,
         )
-    if complaint.group_key is not None:
-        node = result.group_by_key(complaint.group_key).condition_node
-        if node is None:
-            raise ComplaintError("condition nodes need compiled mode")
-        return node
-    if complaint.lineage is not None:
-        batch = result.candidate_batch
-        if batch is None or result.candidate_cond_nodes is None:
-            raise ComplaintError("lineage complaints need a compiled debug result")
-        wanted = dict(complaint.lineage)
-        unknown = set(wanted) - set(batch.alias_row_ids)
-        if unknown:
-            raise ComplaintError(
-                f"lineage aliases {sorted(unknown)} not in the query "
-                f"(available: {sorted(batch.alias_row_ids)})"
-            )
-        mask = np.ones(len(batch), dtype=bool)
-        for alias, row_id in wanted.items():
-            mask &= np.asarray(batch.alias_row_ids[alias]) == row_id
-        matches = np.flatnonzero(mask)
-        if matches.size == 0:
-            return None
-        return int(result.candidate_cond_nodes[int(matches[0])])
-    return result.tuple_condition_node(complaint.row_index)
+    return complaint.condition_node(result)
 
 
 def _value_satisfied(complaint: Complaint, value: float) -> bool:
@@ -286,8 +288,6 @@ def all_satisfied_columnar(
                     return False
                 continue
             node = _complaint_node(complaint, result)
-            if node is None:
-                continue  # vacuously satisfied
             entry = grouped.setdefault(id(result), (result, [], []))
             entry[1].append(node)
             entry[2].append(complaint)

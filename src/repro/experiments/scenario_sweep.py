@@ -8,12 +8,10 @@ mask), giving a corruption-rate axis the original rule lacks.  Figure
 8's Adult setting already takes a flip fraction directly.
 
 For every (scenario, rate) cell the experiment executes the complaint
-query once with compiled provenance, then times the tree-walking
-reference encoder against the array-lowered compiled encoder
-(best-of-N, fresh result per round so neither path inherits warmed
-``to_expr`` memos), checks the two programs are identical up to
-variable naming, and times one deterministic branch & bound solve of
-the complaint ILP.
+query, times TwoStep's encoder (best-of-N, a re-executed result per
+round), reports the program's size and aux-variable dedup, and times one
+deterministic branch & bound solve of the complaint ILP.  The Adult
+cells are Section 6.5's Q6/Q7 ``AVG(predict(*)) ... GROUP BY``.
 """
 
 from __future__ import annotations
@@ -24,13 +22,12 @@ import numpy as np
 
 from ..complaints import ComplaintCase, ValueComplaint
 from ..data import contains_token, corrupt_labels, make_enron
-from ..errors import ILPError
-from ..ilp import CompiledILPEncoder, TiresiasEncoder, solve
+from ..ilp import TiresiasEncoder
 from ..ml import LogisticRegression
 from ..relational import Database, Executor, Relation, plan_sql
 from .common import ExperimentResult
 from .fig8_multiquery import build_adult_setting
-from .ilp_encode import _program_signature
+from .ilp_encode import solve_status
 
 
 def build_enron_rate_setting(
@@ -69,7 +66,8 @@ def build_enron_rate_setting(
     return database, case
 
 
-def _scenarios(rates, flip_fractions, n_train, n_query, seed):
+def scenarios(rates, flip_fractions, n_train, n_query, seed):
+    """``(name, rate, database, case)`` per sweep cell, in report order."""
     for token in ("http", "deal"):
         for rate in rates:
             database, case = build_enron_rate_setting(
@@ -94,52 +92,31 @@ def run(
     seed: int = 0,
 ) -> ExperimentResult:
     result = ExperimentResult("scenario_sweep")
-    for name, rate, database, case in _scenarios(
+    for name, rate, database, case in scenarios(
         rates, flip_fractions, n_train, n_query, seed
     ):
         executor = Executor(database)
         plan = plan_sql(case.query, database)
 
-        def encode_with(encoder_cls):
-            best = float("inf")
-            encoder = None
-            for _ in range(max(1, rounds)):
-                fresh = executor.execute(plan, debug=True)
-                start = time.perf_counter()
-                encoder = encoder_cls(fresh)
-                encoder.add_complaints(case.complaints)
-                encoder.program.n_constraints
-                best = min(best, time.perf_counter() - start)
-            return best, encoder
-
-        tree_s, tree_encoder = encode_with(TiresiasEncoder)
-        compiled_s, compiled_encoder = encode_with(CompiledILPEncoder)
-        program_identical = _program_signature(
-            tree_encoder.program
-        ) == _program_signature(compiled_encoder.program)
-
-        start = time.perf_counter()
-        try:
-            solution = solve(
-                compiled_encoder.program, node_limit=node_limit, time_limit=None
-            )
-            solve_status = f"optimal(obj={solution.objective:g})"
-        except ILPError as exc:
-            solve_status = type(exc).__name__
-        solve_s = time.perf_counter() - start
-
+        encode_s = float("inf")
+        for _ in range(max(1, rounds)):
+            fresh = executor.execute(plan, debug=True)
+            start = time.perf_counter()
+            encoder = TiresiasEncoder(fresh)
+            encoder.add_complaints(case.complaints)
+            encode_s = min(encode_s, time.perf_counter() - start)
+        status, solve_s = solve_status(encoder.program, node_limit)
         result.rows.append(
             {
                 "scenario": name,
                 "rate": rate,
-                "n_vars": tree_encoder.program.n_vars,
-                "n_rows": tree_encoder.program.n_constraints,
-                "tree_encode_s": tree_s,
-                "compiled_encode_s": compiled_s,
-                "speedup": tree_s / compiled_s if compiled_s > 0 else float("inf"),
-                "program_identical": program_identical,
+                "n_vars": encoder.program.n_vars,
+                "n_rows": encoder.program.n_constraints,
+                "encode_s": encode_s,
+                "aux_created": encoder.aux_created,
+                "aux_reused": encoder.aux_reused,
                 "solve_s": solve_s,
-                "solve_status": solve_status,
+                "solve_status": status,
             }
         )
     result.notes.append(
@@ -148,15 +125,8 @@ def run(
         "Adult rate = Figure 8's flip fraction on the Section 6.5 predicate."
     )
     result.notes.append(
-        "encode timings are best-of-N on a fresh debug execution per round; "
-        "solve is one deterministic branch & bound run (node budget, no "
-        "wall-clock limit) on the compiled program."
-    )
-    result.notes.append(
-        "these single-table paper scenarios carry *flat* provenance (each "
-        "aggregate cell is a linear sum of prediction atoms, no nested "
-        "AND/OR), so tree and compiled encode at rough parity here — the "
-        "array lowering's headroom is on deep join provenance, measured by "
-        "the ilp_encode bench."
+        "encode timings are best-of-N on a re-executed debug result per "
+        "round; solve is one deterministic branch & bound run (node budget, "
+        "no wall-clock limit)."
     )
     return result

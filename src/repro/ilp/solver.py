@@ -153,11 +153,16 @@ class PersistentLP:
 
 @dataclass
 class ILPSolution:
-    """An integral assignment with its objective value."""
+    """An integral assignment with its objective value.
+
+    ``proven`` is False when the node or time budget ran out before branch
+    & bound could rule out a better assignment.
+    """
 
     values: np.ndarray
     objective: float
     nodes_explored: int
+    proven: bool = True
 
 
 def solve(
@@ -173,8 +178,7 @@ def solve(
     share that instance across its cut re-solves.
 
     When the node or time budget runs out after an incumbent was found,
-    that incumbent is returned as it is, although its optimality is not
-    proven and nothing marks it so; ROADMAP item 5 is to flag it instead.
+    that incumbent is returned with ``proven=False``.
 
     Raises:
         ILPError: ``node_limit`` is below 1.
@@ -205,6 +209,8 @@ def solve(
             time_limit is not None and time.perf_counter() - start > time_limit
         ):
             if best is not None:
+                best.nodes_explored = nodes - 1
+                best.proven = False
                 return best
             raise ILPTimeoutError(
                 f"branch & bound exhausted its budget after {nodes} nodes "
@@ -255,8 +261,15 @@ def enumerate_optima(
     ambiguity measurement.  The cuts are appended to one live HiGHS model
     instead of being re-parsed from scratch on every enumeration step.
 
+    The first optimum must be proven: pinning the objective to a value
+    branch & bound could not certify would enumerate around a possibly
+    suboptimal fix.  Later solutions need no proof, since the pin already
+    makes every feasible point optimal.
+
     Raises:
         ILPError: ``max_solutions`` or ``node_limit`` is below 1.
+        ILPTimeoutError: the budget ran out before the first optimum was
+            found or proven.
     """
     _check_budget("max_solutions", max_solutions)
     _check_budget("node_limit", node_limit)
@@ -271,6 +284,12 @@ def enumerate_optima(
         time_limit=time_limit,
         _relaxation=relaxation,
     )
+    if not first.proven:
+        raise ILPTimeoutError(
+            f"branch & bound exhausted its budget after {first.nodes_explored} "
+            f"nodes without proving its incumbent (objective {first.objective:g}) "
+            "optimal"
+        )
     solutions = [first]
     optimum = first.objective
 

@@ -34,8 +34,8 @@ The executor writes nodes directly in compiled form (one bulk constructor
 call per operator per batch — see :meth:`NodePool.atoms`,
 :meth:`NodePool.and2`, :meth:`NodePool.or_segments`), and any compiled
 node can be materialized back into an equivalent expression tree with
-:func:`NodePool.to_expr` for consumers that still walk trees (the ILP
-encoder, complaint replay).  The reverse lowering of a tree into a pool
+:func:`NodePool.to_expr` for consumers that still walk trees (complaint
+replay, the test oracles).  The reverse lowering of a tree into a pool
 is test-only; it lives with the tree executor in ``tests/oracles/``.
 
 Worked example — ``COUNT(*) WHERE predict(x) = 'match'`` over three rows::
@@ -72,8 +72,6 @@ OP_DIV = 7  # child₀ / child₁               (numeric; AVG cells)
 FALSE_NODE = 0
 TRUE_NODE = 1
 
-_BOOL_OPS = frozenset((OP_ATOM, OP_NOT, OP_AND, OP_OR))
-
 
 class NodePool:
     """Append-only columnar store of provenance nodes.
@@ -98,10 +96,6 @@ class NodePool:
         # label_id -> dense site-indexed table of atom node ids (-1 = none).
         self._atom_tables: dict[int, np.ndarray] = {}
         self._expr_cache: dict[int, object] = {}
-        # id(materialized expr) -> node id; the reverse of _expr_cache,
-        # registered first-come so aliased nodes map to their canonical
-        # representative (see node_for_expr).
-        self._expr_nodes: dict[int, int] = {}
         self._frozen: _FrozenPool | None = None
         # FALSE and TRUE constants.
         self._append_scalar(OP_CONST, value=0.0, is_bool=True)
@@ -468,32 +462,11 @@ class NodePool:
                 stack.append((current, True))
                 stack.extend((child, False) for child in children if child not in memo)
                 continue
-            obj = self._materialize_one(current, children, memo)
-            memo[current] = obj
-            # First-come registration: constant folding can alias several
-            # nodes to one shared object, and the lowest-index node — the
-            # first to materialize — is the canonical representative.
-            # repro: ignore[DET001] — sound: _expr_cache holds a strong
-            # reference to every materialized expr for the pool's lifetime,
-            # so an id in _expr_nodes can never be recycled while keyed.
-            self._expr_nodes.setdefault(id(obj), current)
+            memo[current] = self._materialize_one(current, children, memo)
         return memo[int(node)]
 
     def to_exprs(self, nodes: Sequence[int]) -> list:
         return [self.to_expr(node) for node in nodes]
-
-    def node_for_expr(self, expr) -> int | None:
-        """The canonical pool node a materialized tree came from, if any.
-
-        Only trees produced by :meth:`to_expr` (and their subtrees) are
-        known; anything else returns ``None``.  Because registration is
-        first-come, every expression object maps to the lowest-index node
-        that materializes to it, giving a stable structural key shared by
-        all aliases — the ILP encoder uses this to dedup aux variables
-        across complaints.
-        """
-        # repro: ignore[DET001] — see to_expr: ids pinned by _expr_cache.
-        return self._expr_nodes.get(id(expr))
 
     def _materialize_one(self, node: int, children: list[int], memo: dict):
         op = self._op[node]
@@ -529,56 +502,6 @@ class NodePool:
                 terms.append(value)
             return prov.add_(*terms)
         raise ProvenanceError(f"unknown opcode {op}")
-
-    def linear_frontier_terms(
-        self, node: int
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Decompose a ``Σ coeff·bool`` node into its non-linear frontier.
-
-        Returns ``(coeffs, child_nodes)`` when ``node`` is an ADD whose
-        children are all boolean — atoms, TRUE/FALSE, or compound AND/OR/NOT
-        conditions (the shape of COUNT cells and of SUM cells whose member
-        values folded away).  The children are the *frontier*: everything
-        above them is affine, everything below needs linearization.  Returns
-        ``None`` for non-ADD nodes or ADDs with numeric children.
-        """
-        node = int(node)
-        if self._op[node] != OP_ADD:
-            return None
-        start, end = self._child_start[node], self._child_end[node]
-        children = self._child[start:end]
-        is_bool = self._is_bool
-        if any(not is_bool[child] for child in children):
-            return None
-        coeffs = np.asarray(self._coeff[start:end], dtype=np.float64)
-        return coeffs, np.asarray(children, dtype=np.int64)
-
-    def linear_atom_terms(
-        self, node: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Decompose a ``Σ coeff·atom`` node into flat term arrays.
-
-        Returns ``(coeffs, site_ids, label_ids)`` when ``node`` is an ADD
-        whose children are all prediction atoms — the shape of COUNT/SUM
-        cells — and ``None`` otherwise.  Consumers (the ILP encoder) can
-        then build affine forms without materializing trees.
-        """
-        frontier = self.linear_frontier_terms(node)
-        if frontier is None:
-            return None
-        coeffs, children = frontier
-        op_list = self._op
-        if children.size == 0 or any(
-            op_list[child] != OP_ATOM for child in children.tolist()
-        ):
-            return None
-        sites = np.asarray(
-            [self._site[child] for child in children.tolist()], dtype=np.int64
-        )
-        labels = np.asarray(
-            [self._label[child] for child in children.tolist()], dtype=np.int64
-        )
-        return coeffs, sites, labels
 
     # -- frozen view ----------------------------------------------------------------------
 

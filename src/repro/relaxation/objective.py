@@ -35,8 +35,7 @@ from ..complaints.complaint import (
     TupleComplaint,
     ValueComplaint,
 )
-from ..errors import ComplaintError, RelaxationError
-from ..relational.compile import FALSE_NODE
+from ..errors import RelaxationError
 from ..relational.executor import QueryResult
 
 
@@ -110,7 +109,7 @@ class RelaxedComplaintObjective:
                 self._root_targets.append(float(complaint.value))
                 continue
             if isinstance(complaint, TupleComplaint):
-                node = _tuple_complaint_node(result, complaint)
+                node = complaint.condition_node(result)
                 roots.append(node)
                 self._root_targets.append(0.0)
                 continue
@@ -228,33 +227,3 @@ def _value_complaint_node(result: QueryResult, complaint: ValueComplaint) -> int
                 f"column {complaint.column!r} is not an aggregate output"
             ) from None
     return result.cell_node(complaint.row_index, complaint.column)
-
-
-def _tuple_complaint_node(result: QueryResult, complaint: TupleComplaint) -> int:
-    """Compiled node of a tuple complaint's existence condition."""
-    if complaint.group_key is not None:
-        node = result.group_by_key(complaint.group_key).condition_node
-        if node is None:
-            raise RelaxationError("group condition nodes need compiled mode")
-        return node
-    if complaint.lineage is not None:
-        batch = result.candidate_batch
-        if batch is None:
-            raise ComplaintError("lineage complaints need a debug-mode result")
-        wanted = dict(complaint.lineage)
-        unknown = set(wanted) - set(batch.alias_row_ids)
-        if unknown:
-            raise ComplaintError(
-                f"lineage aliases {sorted(unknown)} not in the query "
-                f"(available: {sorted(batch.alias_row_ids)})"
-            )
-        mask = np.ones(len(batch), dtype=bool)
-        for alias, row_id in wanted.items():
-            mask &= batch.alias_row_ids[alias] == int(row_id)
-        matches = np.flatnonzero(mask)
-        if matches.size == 0:
-            # Not even a candidate: deterministically filtered, so the
-            # complaint is vacuously satisfied.
-            return FALSE_NODE
-        return int(batch.cond_nodes[matches[0]])
-    return result.tuple_condition_node(complaint.row_index)

@@ -210,6 +210,6 @@ class TestShippedManifest:
         from repro.analysis.golden import DEFAULT_MANIFEST
 
         labels = {entry.label for entry in load_manifest(DEFAULT_MANIFEST)}
-        assert "repro.ilp.encode:TiresiasEncoder" in labels
+        assert "oracles.encode:TreeEncoder" in labels
         assert "oracles.solver:_lp_relaxation" in labels
         assert "oracles.objective:InterpretedObjective._q_interpreted" in labels

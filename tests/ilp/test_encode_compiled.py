@@ -1,19 +1,24 @@
-"""Compiled-vs-tree ILP encode equivalence on fig6-shaped join plans.
+"""Array encoder vs the tree-walk oracle on fig6-shaped join plans.
 
-The array-native :class:`CompiledILPEncoder` must produce the *same
-program* as the tree-walking golden reference — same variables in the
+:class:`TiresiasEncoder` must produce the *same program* as the seed's
+tree walk (:class:`oracles.encode.TreeEncoder`) — same variables in the
 same order, same constraint rows with the same coefficient order and
 right-hand sides — because constraint/variable order changes which tied
-optimum the solver enumerates first, and TwoStep removal orders must be
-bit-identical whichever encoder builds the program.  A seeded generator samples
-AND/OR-heavy predicates over an L ⋈ R equi-join (the MNIST-join shape of
-the paper's Figure 6) under selection / COUNT / grouped SUM-AVG shapes,
-and every sampled plan must agree on four levels:
+optimum the solver enumerates first, and TwoStep removal orders must not
+move.  A seeded generator samples AND/OR-heavy predicates over an
+L ⋈ R equi-join (the MNIST-join shape of the paper's Figure 6) under
+selection / COUNT / grouped SUM-AVG shapes, and every sampled plan must
+agree on four levels:
 
 - the emitted :class:`BinaryProgram` (exact, up to variable *names*);
 - feasibility verdicts on sampled 0/1 assignments;
 - the optimal objective and the enumerated solution sequence;
 - end-to-end TwoStep removal orders.
+
+Prediction-valued aggregates (``SUM``/``AVG(predict(*)) ... GROUP BY``,
+the paper's Section 6.5 Q6/Q7 shape, with and without a model-dependent
+``WHERE``, and group-key complaints on currently empty groups) are
+pinned to the oracle's program the same way.
 """
 
 import numpy as np
@@ -22,10 +27,8 @@ import pytest
 from repro.complaints import ComplaintCase, TupleComplaint, ValueComplaint
 from repro.core.rain import RainDebugger
 from repro.errors import ILPError
-from repro.experiments.ilp_encode import _program_signature as program_signature
 from repro.ilp import (
     BinaryProgram,
-    CompiledILPEncoder,
     TiresiasEncoder,
     enumerate_optima,
     make_encoder,
@@ -49,6 +52,7 @@ from repro.relational import (
 )
 
 from oracles import TreeExecutor
+from oracles.encode import TreeEncoder, program_signature
 
 SEEDS = list(range(8))
 # Node budgets, not wall clock: every solve that finds an optimum here
@@ -217,8 +221,8 @@ def build_encoders(join_db, seed):
     complaints = complaints_for(rng, result, shape)
     if not complaints:
         pytest.skip("sampled plan produced an empty relation")
-    tree = TiresiasEncoder(result)
-    compiled = CompiledILPEncoder(result)
+    tree = TreeEncoder(result)
+    compiled = TiresiasEncoder(result)
     for complaint in complaints:
         tree.add_complaint(complaint)
         compiled.add_complaint(complaint)
@@ -285,7 +289,7 @@ class TestCrossComplaintDedup:
             plan, _ = random_plan(rng)
         count = float(result.relation.column("count")[0])
         total = float(result.relation.column("total")[0])
-        encoder = CompiledILPEncoder(result)
+        encoder = TiresiasEncoder(result)
         encoder.add_complaint(
             ValueComplaint(column="count", op="<=", value=count - 1.0, row_index=0)
         )
@@ -297,31 +301,6 @@ class TestCrossComplaintDedup:
         )
         assert created_first > 0
         assert encoder.aux_reused > 0
-
-    def test_tree_fallback_shares_cache_with_compiled_path(self, join_db):
-        rng = np.random.default_rng(5)
-        plan, _ = random_plan(rng)
-        while True:
-            result = Executor(join_db).execute(
-                plan, debug=True
-            )
-            if result.groups is not None and len(result.relation) >= 1:
-                break
-            plan, _ = random_plan(rng)
-        count = float(result.relation.column("count")[0])
-        tree = TiresiasEncoder(result)
-        compiled = CompiledILPEncoder(result)
-        complaint = ValueComplaint(
-            column="count", op="<=", value=count - 1.0, row_index=0
-        )
-        tree.add_complaint(complaint)
-        compiled.add_complaint(complaint)
-        # Forcing the same complaint through the inherited tree walk on
-        # the compiled encoder must hit the shared node-id cache instead
-        # of allocating a second set of aux variables.
-        before = compiled.program.n_vars
-        TiresiasEncoder.add_complaint(compiled, complaint)
-        assert compiled.program.n_vars == before
 
 
 class TestTwoStepRemovalOrders:
@@ -369,29 +348,33 @@ class TestTwoStepRemovalOrders:
             finally:
                 model.set_params(params)
 
-        # The oracle run forces the tree walk on compiled provenance.
-        assert run_with(TiresiasEncoder) == run_with(make_encoder)
+        # The oracle run encodes with the tree walk on compiled provenance.
+        assert run_with(TreeEncoder) == run_with(make_encoder)
         assert X.shape[1] == 4
 
 
 class TestEncoderDispatch:
-    def test_make_encoder_dispatch(self, join_db):
+    def test_make_encoder_builds_the_array_encoder(self, join_db):
         rng = np.random.default_rng(1)
         plan, _ = random_plan(rng)
-        executor = Executor(join_db)
-        compiled_result = executor.execute(plan, debug=True)
+        result = Executor(join_db).execute(plan, debug=True)
+        assert type(make_encoder(result)) is TiresiasEncoder
+
+    def test_production_encoder_rejects_a_tree_result(self, join_db):
+        rng = np.random.default_rng(1)
+        plan, _ = random_plan(rng)
         tree_result = TreeExecutor(join_db).execute(plan, debug=True)
-        assert isinstance(make_encoder(compiled_result), CompiledILPEncoder)
-        # Tree-mode results have no pool: always the tree walk.
-        encoder = make_encoder(tree_result)
-        assert type(encoder) is TiresiasEncoder
+        with pytest.raises(ILPError, match="compiled lineage"):
+            make_encoder(tree_result)
+        # The oracle still encodes it.
+        assert TreeEncoder(tree_result).program.n_vars > 0
 
 
 class TestAuxCacheKeying:
-    def test_cache_pins_expressions_against_id_reuse(self, join_db):
-        """The aux cache must key unregistered exprs by pinned identity.
+    def test_cache_pins_expressions_against_id_reuse(self):
+        """The oracle's aux cache keys expressions by pinned identity.
 
-        The old ``id(expr)`` keys did not keep the expression alive, so a
+        Bare ``id(expr)`` keys do not keep the expression alive, so a
         garbage-collected subtree could hand its id to a structurally
         different one and silently merge the two.  ``_ExprKey`` holds a
         strong reference: as long as a cache entry exists, its id cannot
@@ -399,7 +382,7 @@ class TestAuxCacheKeying:
         """
         import repro.relational.provenance as prov
 
-        from repro.ilp.encode import _ExprKey
+        from oracles.encode import _ExprKey
 
         a = prov.and_(prov.PredIs(0, 1), prov.PredIs(1, 1))
         b = prov.and_(prov.PredIs(0, 1), prov.PredIs(1, 1))
@@ -412,17 +395,96 @@ class TestAuxCacheKeying:
         key = next(iter(cache))
         assert key.expr is a  # strong reference pins the object
 
-    def test_pool_materialized_exprs_key_by_node_id(self, join_db):
-        rng = np.random.default_rng(2)
-        plan, shape = random_plan(rng)
-        result = Executor(join_db).execute(plan, debug=True)
-        if len(result.relation) == 0:
-            pytest.skip("sampled plan produced an empty relation")
-        encoder = TiresiasEncoder(result)
-        if result.groups is not None:
-            condition = result.groups[0].condition
-        else:
-            condition = result.tuple_condition(0)
-        key = encoder._aux_key(condition)
-        assert isinstance(key, (int, np.integer))
-        assert result.pool.node_for_expr(condition) == key
+
+# -- prediction-valued aggregates ----------------------------------------------
+
+PREDICTION_SHAPES = ("grouped", "where", "empty_group")
+
+
+def prediction_plan(rng, shape):
+    """``SUM``/``AVG`` over ``predict(*)`` on the L ⋈ R join.
+
+    - ``grouped``: no model-dependent predicate, so every member is
+      certain and each cell sums per-member class-value sums (the
+      Section 6.5 Q6/Q7 shape; a site repeats across the members it
+      joins into);
+    - ``where``: ``WHERE predict(*) = 1`` on one side (usually AND a
+      random predicate), so each member's condition multiplies its value;
+    - ``empty_group``: as ``where`` but also grouped by ``predict(*)``,
+      which leaves candidate groups that are currently empty.
+    """
+    sides = ("L", "R")
+
+    def predict():
+        return ModelPredict("m", Col(f"{sides[int(rng.integers(2))]}.features"))
+
+    joined = Join(
+        Scan("L", "L"), Scan("R", "R"), Cmp("=", Col("L.key"), Col("R.key"))
+    )
+    source = joined
+    if shape != "grouped":
+        predicate = Cmp("=", predict(), Const(1))
+        if rng.random() < 0.75:
+            predicate = BoolAnd(
+                [predicate, random_predicate(rng, int(rng.integers(1, 3)))]
+            )
+        source = Filter(joined, predicate)
+    keys = ((Col(f"{sides[int(rng.integers(2))]}.key"), "key"),)
+    if shape == "empty_group":
+        keys = keys + ((predict(), "label"),)
+    return Aggregate(
+        source,
+        keys,
+        [
+            AggSpec("count", None, "count"),
+            AggSpec("sum", predict(), "total"),
+            AggSpec("avg", predict(), "mean"),
+        ],
+    )
+
+
+def prediction_case(join_db, shape, seed):
+    """A sampled plan's result and complaints (group-key ones on empty groups)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        result = Executor(join_db).execute(prediction_plan(rng, shape), debug=True)
+        output = set(result.output_to_group)
+        empty = [g for g in range(len(result.groups)) if g not in output]
+        if len(result.relation) and (empty or shape != "empty_group"):
+            break
+    else:
+        pytest.fail(f"no {shape} plan with a usable group in 20 draws")
+    complaints = []
+    n_rows = len(result.relation)
+    for row in rng.choice(n_rows, size=min(3, n_rows), replace=False).tolist():
+        for column in ("total", "mean"):
+            current = float(result.relation.column(column)[row])
+            op = ("<=", ">=")[int(rng.integers(2))]
+            shift = float(rng.uniform(0.1, 1.5))
+            value = current - shift if op == "<=" else current + shift
+            complaints.append(
+                ValueComplaint(column=column, op=op, value=value, row_index=row)
+            )
+    for group in empty[:2]:
+        key = result.groups[group].key
+        complaints.append(
+            ValueComplaint(column="count", op=">=", value=1.0, group_key=key)
+        )
+        complaints.append(
+            ValueComplaint(column="mean", op=">=", value=0.5, group_key=key)
+        )
+        complaints.append(TupleComplaint(group_key=key))
+    return result, complaints
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", PREDICTION_SHAPES)
+def test_prediction_aggregates_match_oracle(join_db, shape, seed):
+    result, complaints = prediction_case(join_db, shape, seed)
+    oracle = TreeEncoder(result)
+    production = TiresiasEncoder(result)
+    oracle.add_complaints(complaints)
+    production.add_complaints(complaints)
+    assert program_signature(production.program) == program_signature(
+        oracle.program
+    )

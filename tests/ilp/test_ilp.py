@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ILPError, InfeasibleError
+from repro.errors import ILPError, ILPTimeoutError, InfeasibleError
 from repro.ilp import BinaryProgram, enumerate_optima, pick_solution, solve
 
 
@@ -274,3 +274,48 @@ class TestEnumeration:
     def test_pick_from_empty_raises(self):
         with pytest.raises(InfeasibleError):
             pick_solution([], np.random.default_rng(0))
+
+
+def _triangle_cover(near_one: bool) -> BinaryProgram:
+    """min x1 + x2 + x3 s.t. every pair covers: the LP root is 1.5 at all-½.
+
+    With ``near_one`` a fourth variable is held at 1 - 1e-7 by the LP, which
+    branch & bound treats as integral; its rounding makes every incumbent
+    cost 1e-7 more than the relaxation bound it came from.
+    """
+    program = BinaryProgram()
+    x = [program.add_var(f"x{i}") for i in range(4 if near_one else 3)]
+    program.set_objective({index: 1.0 for index in x})
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        program.add_constraint({x[a]: 1.0, x[b]: 1.0}, ">=", 1.0)
+    if near_one:
+        program.add_constraint({x[3]: 1e7}, ">=", 1e7 - 1.0)
+    return program
+
+
+class TestBudget:
+    def test_node_limit_one_cannot_prove_a_fractional_root(self):
+        program = _triangle_cover(near_one=False)
+        with pytest.raises(ILPTimeoutError, match="without an incumbent"):
+            solve(program, node_limit=1)
+        with pytest.raises(ILPTimeoutError):
+            enumerate_optima(program, node_limit=1)
+        assert solve(program, node_limit=3).objective == 2.0
+
+    def test_unproven_incumbent_is_marked_and_not_enumerated(self):
+        program = _triangle_cover(near_one=True)
+        # Node 1 branches the root; node 2 finds an incumbent of cost 3,
+        # but node 3's bound (3 - 1e-7) still has to be explored.
+        unproven = solve(program, node_limit=2)
+        assert not unproven.proven
+        assert unproven.objective == 3.0
+        assert unproven.nodes_explored == 2
+        with pytest.raises(ILPTimeoutError, match="without proving"):
+            enumerate_optima(program, node_limit=2)
+
+        proven = solve(program, node_limit=3)
+        assert proven.proven
+        assert proven.nodes_explored == 3
+        assert np.array_equal(proven.values, unproven.values)
+        optima = enumerate_optima(program, node_limit=3)
+        assert optima[0].proven and optima[0].objective == 3.0

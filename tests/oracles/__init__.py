@@ -12,6 +12,8 @@ the import path, and ``tests/analysis/test_oracle_boundary.py`` keeps
 - :mod:`oracles.relax` and :mod:`oracles.objective` — the per-tree
   relaxation interpreter and :class:`InterpretedObjective`;
 - :mod:`oracles.lowering` — tree → compiled-pool lowering;
+- :mod:`oracles.encode` — :class:`TreeEncoder`, TwoStep's ILP built by
+  recursion over materialized provenance trees;
 - :mod:`oracles.solver` — branch & bound over per-call ``linprog`` LPs.
 
 :func:`tree_reference` routes a whole Rain session through the oracles.
@@ -19,9 +21,10 @@ the import path, and ``tests/analysis/test_oracle_boundary.py`` keeps
 
 from __future__ import annotations
 
-from repro.core import rankers
+from repro.core import rain, rankers
 from repro.relational.executor import Executor
 
+from .encode import TreeEncoder
 from .executor import TreeExecutor, TreeRuntime
 from .objective import InterpretedObjective, batched_case_objectives
 from .relax import Relaxer
@@ -30,6 +33,7 @@ from .solver import enumerate_optima_reference, solve_reference
 __all__ = [
     "InterpretedObjective",
     "Relaxer",
+    "TreeEncoder",
     "TreeExecutor",
     "TreeRuntime",
     "enumerate_optima_reference",
@@ -43,16 +47,17 @@ def _tree_execute(self, plan, debug: bool = False):
 
 
 def tree_reference(monkeypatch, linprog: bool = False) -> None:
-    """Route the Rain loop's execute and relax layers through the oracles.
+    """Route the Rain loop's execute, encode and relax layers through the oracles.
 
     Every ``Executor.execute`` call runs on :class:`TreeExecutor` (tree
-    lineage, never memoized) and Holistic's objectives are
+    lineage, never memoized), TwoStep (and ``auto``'s method choice)
+    encodes with :class:`TreeEncoder`, and Holistic's objectives are
     :class:`InterpretedObjective`; with ``linprog=True`` TwoStep's optimum
-    enumeration runs on the ``linprog`` branch & bound as well.  TwoStep
-    encodes tree results with the tree-walking encoder on its own
-    (:func:`repro.ilp.encode.make_encoder`).
+    enumeration runs on the ``linprog`` branch & bound as well.
     """
     monkeypatch.setattr(Executor, "execute", _tree_execute)
+    monkeypatch.setattr(rankers, "make_encoder", TreeEncoder)
+    monkeypatch.setattr(rain, "make_encoder", TreeEncoder)
     monkeypatch.setattr(rankers, "batched_case_objectives", batched_case_objectives)
     if linprog:
         monkeypatch.setattr(rankers, "enumerate_optima", enumerate_optima_reference)
