@@ -6,8 +6,8 @@ rows grade Table 3's labelling-function rule by the fraction of
 token-matching emails it relabels; the Adult rows are Section 6.5's
 Q6/Q7 ``AVG(predict(*)) ... GROUP BY`` at Figure 8's flip fractions.
 
-The asserts are qualitative — every cell present and every solve
-optimal — plus work counts: each cell's program is identical to the
+The asserts are qualitative — every cell present and every solve a
+proven optimum — plus work counts: each cell's program is identical to the
 tree-walk oracle's (``oracles.encode.TreeEncoder``) and each complaint
 costs the array encoder one ``add_constraint`` call and at most one
 constraint block.  Timings are printed, not gated.
@@ -38,7 +38,7 @@ def test_bench_scenario_sweep(benchmark, out_dir):
         ("adult_q7_age", 0.3), ("adult_q7_age", 0.5),
     }
     for row in result.rows:
-        assert row["solve_status"].startswith("optimal"), row
+        assert row["solve_status"].startswith("optimal("), row
         assert row["encode_s"] > 0
 
 

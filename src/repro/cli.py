@@ -52,7 +52,10 @@ EXPERIMENTS: dict[str, tuple[Callable, str]] = {
     "fig11": (fig11_nn.run, "CNN vs logistic debugging (appendix D)"),
     "thm_a1": (thm_a1.run, "Theorem A.1 ambiguity validation"),
     "thm_c1": (thm_c1.run, "Theorem C.1 value-of-complaints validation"),
-    "ilp_encode": (ilp_encode.run, "Tree vs array-lowered ILP encode (fig6 joins)"),
+    "ilp_encode": (
+        ilp_encode.run,
+        "TwoStep ILP encode size/time/dedup/solve on fig6 joins",
+    ),
     "sweep": (scenario_sweep.run, "ENRON/Adult corruption-rate encode/solve sweep"),
 }
 

@@ -58,6 +58,7 @@ from ..relational.compile import (
     TRUE_NODE,
 )
 from ..relational.executor import QueryResult
+from ..relational.provenance import AndFolding, NumFolding
 from .model import BinaryProgram
 from .solver import ILPSolution
 
@@ -65,7 +66,8 @@ Affine = tuple[dict[int, float], float]
 
 # A pool node's numeric value is handled as the *form* of the expression it
 # materializes to (``NodePool.to_expr``), so that every fold of
-# ``provenance.add_``/``mul_`` is applied exactly as the tree would have it:
+# ``provenance.add_``/``mul_`` (their shared rules, ``NumFolding``) is
+# applied exactly as the tree would have it:
 # ``("const", v)`` ConstNum, ``("bool", node)`` the indicator of a canonical
 # boolean node, ``("lin", coeffs, nodes)`` LinearSum, ``("add", forms)``
 # AddExpr, ``("mul", forms)`` MulExpr, ``("div", num, den)`` DivExpr.
@@ -88,38 +90,60 @@ def _affine_scale(a: Affine, scale: float) -> Affine:
     return {index: coeff * scale for index, coeff in a[0].items()}, a[1] * scale
 
 
-def _add_forms(forms: list) -> tuple:
-    """``provenance.add_`` over forms: splice sums, fold constants last."""
-    const_total = 0.0
-    rest: list = []
-    for form in forms:
-        if form[0] == "const":
-            const_total += form[1]
-        elif form[0] == "add":
-            rest.extend(form[1])
-        else:
-            rest.append(form)
-    if const_total != 0.0 or not rest:
-        rest.append(("const", const_total))
-    return rest[0] if len(rest) == 1 else ("add", rest)
+class _Forms(NumFolding):
+    """``provenance.add_``/``mul_``'s folds over forms."""
+
+    def const(self, value: float) -> tuple:
+        return ("const", value)
+
+    def const_value(self, form: tuple) -> float | None:
+        return form[1] if form[0] == "const" else None
+
+    def sum_terms(self, form: tuple):
+        return form[1] if form[0] == "add" else None
+
+    def product_factors(self, form: tuple):
+        return form[1] if form[0] == "mul" else None
+
+    def make_sum(self, terms: list) -> tuple:
+        return ("add", terms)
+
+    def make_product(self, factors: list) -> tuple:
+        return ("mul", factors)
 
 
-def _mul_forms(forms: list) -> tuple:
-    """``provenance.mul_`` over forms: splice products, fold constants first."""
-    const_total = 1.0
-    rest: list = []
-    for form in forms:
-        if form[0] == "const":
-            const_total *= form[1]
-        elif form[0] == "mul":
-            rest.extend(form[1])
-        else:
-            rest.append(form)
-    if const_total == 0.0:
-        return ("const", 0.0)
-    if const_total != 1.0 or not rest:
-        rest.insert(0, ("const", const_total))
-    return rest[0] if len(rest) == 1 else ("mul", rest)
+_FORMS = _Forms()
+
+
+class _NodeConjunction(AndFolding):
+    """``provenance.and_``'s folds over canonical boolean pool nodes.
+
+    A conjunction left with two or more children is *virtual*: the tuple
+    of its canonical children, a brand-new AND no pool node stands for.
+    """
+
+    true = TRUE_NODE
+    false = FALSE_NODE
+
+    def __init__(self, op_l: list, eff_start: list, eff_end: list, eff_child: list):
+        self._op_l = op_l
+        self._eff_start = eff_start
+        self._eff_end = eff_end
+        self._eff_child = eff_child
+
+    def is_true(self, node: int) -> bool:
+        return node == TRUE_NODE
+
+    def is_false(self, node: int) -> bool:
+        return node == FALSE_NODE
+
+    def and_children(self, node: int):
+        if self._op_l[node] != OP_AND:
+            return None
+        return self._eff_child[self._eff_start[node] : self._eff_end[node]]
+
+    def make_and(self, children: list) -> tuple:
+        return tuple(children)
 
 
 class TiresiasEncoder:
@@ -151,6 +175,9 @@ class TiresiasEncoder:
         self._child_end_l = pool._child_end
         self._coeff_l = pool._coeff
         self._value_l = pool._value
+        self._and = _NodeConjunction(
+            self._op_l, self._eff_start_l, self._eff_end_l, self._eff_child_l
+        )
         # Canonical node id -> aux variable index (-1 = not yet created);
         # the list is the DFS-side mirror of the array, kept in sync.
         self._aux_var = np.full(f.op.shape[0], -1, dtype=np.int64)
@@ -289,16 +316,12 @@ class TiresiasEncoder:
             coeffs = self._coeff_l[start:end]
             if all(self._is_bool(child) for child in children):
                 return ("lin", coeffs, [self._rep_l[child] for child in children])
-            terms = []
-            for coeff, child in zip(coeffs, children):
-                form = self._num_form(child)
-                if coeff != 1.0:
-                    form = _mul_forms([("const", coeff), form])
-                terms.append(form)
-            return _add_forms(terms)
+            return _FORMS.weighted_sum(
+                coeffs, [self._num_form(child) for child in children]
+            )
         forms = [self._num_form(child) for child in children]
         if op == OP_MUL:
-            return _mul_forms(forms)
+            return _FORMS.product(forms)
         return ("div", forms[0], forms[1])
 
     def _plan(self, form: tuple, roots: list):
@@ -361,29 +384,10 @@ class TiresiasEncoder:
     def _conjunction(self, factors: list[int], roots: list) -> int:
         """Root index of ``provenance.and_`` over canonical boolean nodes.
 
-        AND factors splice their children; a conjunction left with two or
-        more children is *virtual*: a brand-new AND the cache never sees,
-        so it gets its own aux variable while its children are shared.
+        A virtual conjunction is an AND the aux cache never sees, so it
+        gets its own aux variable while its children are shared.
         """
-        flat: list[int] = []
-        for node in factors:
-            if node == FALSE_NODE:
-                roots.append(FALSE_NODE)
-                return len(roots) - 1
-            if node == TRUE_NODE:
-                continue
-            if self._op_l[node] == OP_AND:
-                flat.extend(
-                    self._eff_child_l[self._eff_start_l[node] : self._eff_end_l[node]]
-                )
-            else:
-                flat.append(node)
-        if not flat:
-            roots.append(TRUE_NODE)
-        elif len(flat) == 1:
-            roots.append(flat[0])
-        else:
-            roots.append(tuple(flat))
+        roots.append(self._and.conjunction(factors))
         return len(roots) - 1
 
     def _affine(self, plan, var: list, sign: list, const: list) -> Affine:

@@ -494,13 +494,7 @@ class NodePool:
             coeffs = self._coeff[start : self._child_end[node]]
             if all(isinstance(kid, prov.BoolExpr) for kid in kids):
                 return prov.LinearSum(list(zip(coeffs, kids)))
-            terms = []
-            for coeff, kid in zip(coeffs, kids):
-                value = _as_num(kid)
-                if coeff != 1.0:
-                    value = prov.mul_(prov.ConstNum(coeff), value)
-                terms.append(value)
-            return prov.add_(*terms)
+            return prov.weighted_sum(coeffs, [_as_num(kid) for kid in kids])
         raise ProvenanceError(f"unknown opcode {op}")
 
     # -- frozen view ----------------------------------------------------------------------

@@ -343,23 +343,124 @@ class NotExpr(BoolExpr):
         return f"¬{self.child!r}"
 
 
+# ---------------------------------------------------------------------------
+# Splice-and-fold rules
+# ---------------------------------------------------------------------------
+#
+# ``and_``, ``add_`` and ``mul_`` normalize as they build: a nested
+# conjunction, sum or product splices into its parent and constants fold.
+# The ILP encoder (``repro.ilp.encode``) mirrors these trees over compiled
+# pool nodes without building them, so each rule is written once here and a
+# subclass only says how its representation spells constants and operators.
+
+
+class AndFolding:
+    """``and_``'s rule: FALSE absorbs, TRUE drops, nested conjunctions splice.
+
+    Subclasses set ``true``/``false`` and define ``is_true(x)``,
+    ``is_false(x)``, ``and_children(x)`` (a conjunction's children, else
+    ``None``) and ``make_and(children)``.
+    """
+
+    def conjunction(self, children: Iterable):
+        flat: list = []
+        for child in children:
+            if self.is_false(child):
+                return self.false
+            if self.is_true(child):
+                continue
+            spliced = self.and_children(child)
+            if spliced is None:
+                flat.append(child)
+            else:
+                flat.extend(spliced)
+        if not flat:
+            return self.true
+        if len(flat) == 1:
+            return flat[0]
+        return self.make_and(flat)
+
+
+class NumFolding:
+    """``add_``/``mul_``'s rules: nested sums (products) splice, constants fold.
+
+    A sum keeps its folded constant last and drops a zero; a product keeps
+    it first, drops a one, and folds to the constant 0 on a zero factor.
+    Subclasses define ``const(value)``, ``const_value(x)`` (a constant's
+    value, else ``None``), ``sum_terms(x)``/``product_factors(x)`` (the
+    operands of a sum/product, else ``None``), ``make_sum(terms)`` and
+    ``make_product(factors)``.
+    """
+
+    def sum(self, children: Iterable):
+        total = 0.0
+        rest: list = []
+        for child in children:
+            value = self.const_value(child)
+            if value is not None:
+                total += value
+                continue
+            spliced = self.sum_terms(child)
+            if spliced is None:
+                rest.append(child)
+            else:
+                rest.extend(spliced)
+        if total != 0.0 or not rest:
+            rest.append(self.const(total))
+        return rest[0] if len(rest) == 1 else self.make_sum(rest)
+
+    def product(self, children: Iterable):
+        total = 1.0
+        rest: list = []
+        for child in children:
+            value = self.const_value(child)
+            if value is not None:
+                total *= value
+                continue
+            spliced = self.product_factors(child)
+            if spliced is None:
+                rest.append(child)
+            else:
+                rest.extend(spliced)
+        if total == 0.0:
+            return self.const(0.0)
+        if total != 1.0 or not rest:
+            rest.insert(0, self.const(total))
+        return rest[0] if len(rest) == 1 else self.make_product(rest)
+
+    def weighted_sum(self, coeffs: Sequence[float], terms: Sequence):
+        """``Σ coeff·term``, a coefficient of 1 elided (an ``OP_ADD`` node)."""
+        return self.sum(
+            [
+                term if coeff == 1.0 else self.product([self.const(coeff), term])
+                for coeff, term in zip(coeffs, terms)
+            ]
+        )
+
+
+class _TreeAnd(AndFolding):
+    true = TRUE
+    false = FALSE
+
+    def is_true(self, expr) -> bool:
+        return expr.is_true()
+
+    def is_false(self, expr) -> bool:
+        return expr.is_false()
+
+    def and_children(self, expr):
+        return expr.children if isinstance(expr, AndExpr) else None
+
+    def make_and(self, children: list) -> BoolExpr:
+        return AndExpr(children)
+
+
+_TREE_AND = _TreeAnd()
+
+
 def and_(*children: BoolExpr) -> BoolExpr:
     """Conjunction with constant folding and flattening."""
-    flat: list[BoolExpr] = []
-    for child in children:
-        if child.is_false():
-            return FALSE
-        if child.is_true():
-            continue
-        if isinstance(child, AndExpr):
-            flat.extend(child.children)
-        else:
-            flat.append(child)
-    if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return AndExpr(flat)
+    return _TREE_AND.conjunction(children)
 
 
 def or_(*children: BoolExpr) -> BoolExpr:
@@ -547,42 +648,42 @@ class LinearSum(NumExpr):
         return f"Σ({inner})"
 
 
+class _TreeNum(NumFolding):
+    def const(self, value: float) -> NumExpr:
+        return ConstNum(value)
+
+    def const_value(self, expr) -> float | None:
+        return expr.value if isinstance(expr, ConstNum) else None
+
+    def sum_terms(self, expr):
+        return expr.children if isinstance(expr, AddExpr) else None
+
+    def product_factors(self, expr):
+        return expr.children if isinstance(expr, MulExpr) else None
+
+    def make_sum(self, terms: list) -> NumExpr:
+        return AddExpr(terms)
+
+    def make_product(self, factors: list) -> NumExpr:
+        return MulExpr(factors)
+
+
+_TREE_NUM = _TreeNum()
+
+
 def add_(*children: NumExpr) -> NumExpr:
     """Sum with constant folding."""
-    const_total = 0.0
-    rest: list[NumExpr] = []
-    for child in children:
-        if isinstance(child, ConstNum):
-            const_total += child.value
-        elif isinstance(child, AddExpr):
-            rest.extend(child.children)
-        else:
-            rest.append(child)
-    if const_total != 0.0 or not rest:
-        rest.append(ConstNum(const_total))
-    if len(rest) == 1:
-        return rest[0]
-    return AddExpr(rest)
+    return _TREE_NUM.sum(children)
 
 
 def mul_(*children: NumExpr) -> NumExpr:
     """Product with constant folding."""
-    const_total = 1.0
-    rest: list[NumExpr] = []
-    for child in children:
-        if isinstance(child, ConstNum):
-            const_total *= child.value
-        elif isinstance(child, MulExpr):
-            rest.extend(child.children)
-        else:
-            rest.append(child)
-    if const_total == 0.0:
-        return ConstNum(0.0)
-    if const_total != 1.0 or not rest:
-        rest.insert(0, ConstNum(const_total))
-    if len(rest) == 1:
-        return rest[0]
-    return MulExpr(rest)
+    return _TREE_NUM.product(children)
+
+
+def weighted_sum(coeffs: Sequence[float], terms: Sequence[NumExpr]) -> NumExpr:
+    """``Σ coeff·term`` with ``add_``/``mul_``'s folds."""
+    return _TREE_NUM.weighted_sum(coeffs, terms)
 
 
 def pred_value(site_id: int, class_values: Iterable[tuple[ClassLabel, float]]) -> NumExpr:

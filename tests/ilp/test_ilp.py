@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ILPError, ILPTimeoutError, InfeasibleError
+from repro.experiments.ilp_encode import solve_status
 from repro.ilp import BinaryProgram, enumerate_optima, pick_solution, solve
 
 
@@ -300,6 +301,7 @@ class TestBudget:
             solve(program, node_limit=1)
         with pytest.raises(ILPTimeoutError):
             enumerate_optima(program, node_limit=1)
+        assert solve_status(program, 1)[0] == "ILPTimeoutError"
         assert solve(program, node_limit=3).objective == 2.0
 
     def test_unproven_incumbent_is_marked_and_not_enumerated(self):
@@ -312,6 +314,9 @@ class TestBudget:
         assert unproven.nodes_explored == 2
         with pytest.raises(ILPTimeoutError, match="without proving"):
             enumerate_optima(program, node_limit=2)
+        # The experiments' status column tells it apart from an optimum.
+        assert solve_status(program, 2)[0] == "unproven(obj=3)"
+        assert solve_status(program, 3)[0] == "optimal(obj=3)"
 
         proven = solve(program, node_limit=3)
         assert proven.proven
