@@ -29,7 +29,8 @@ import numpy as np
 from ..complaints.complaint import ComplaintCase, PredictionComplaint
 from ..errors import DebuggingError, ILPTimeoutError, InfeasibleError
 from ..ilp.encode import make_encoder
-from ..ilp.solver import enumerate_optima, pick_solution
+from ..ilp.model import BinaryProgram
+from ..ilp.solver import ILPSolution, enumerate_optima, pick_solution
 from ..influence.functions import InfluenceAnalyzer, q_grad_for_target_predictions
 from ..relational.executor import QueryResult
 from ..relaxation.objective import batched_case_objectives, batched_q_and_grads
@@ -195,10 +196,22 @@ def _record_scalar_cg(ctx: IterationContext, warm: WarmStartState | None) -> Non
 class TwoStepRanker(Ranker):
     """The TwoStep approach (Section 5.2): ILP fix, then influence.
 
-    ``ambiguity_cap`` bounds how many optimal ILP solutions are enumerated;
-    the enumerated count is reported as the iteration's ambiguity and the
-    "opaque solver pick" is a seeded uniform draw among them (Theorem A.1's
-    model).  Set ``ambiguity_cap=1`` to take the solver's first optimum.
+    The "opaque solver pick" among a case's tied optimal fixes is a seeded
+    uniform draw over its first ``ambiguity_cap`` optima (Theorem A.1's
+    model).  The draw comes first: ``j = rng.integers(ambiguity_cap)``,
+    then optima are enumerated only up to ``j + 1`` and optimum ``j`` is
+    taken.  If only ``m < j + 1`` optima exist, the pick is redrawn
+    uniformly among those ``m``, so every optimum still has probability
+    ``1 / min(m, ambiguity_cap)``.  Enumeration is prefix-stable and draws
+    nothing, so whenever every case reaches the cap the removal order is
+    the one of enumerating all ``ambiguity_cap`` optima before drawing.
+    Set ``ambiguity_cap=1`` to take the solver's first optimum.
+
+    Each iteration records ``optima_enumerated`` (optima found per ILP
+    case, in case order) and ``enumeration_exhausted`` (per case: fewer
+    than ``j + 1`` optima existed, so the count is the exact number of
+    optimal fixes; otherwise it is a lower bound).
+
     ``node_limit`` budgets each branch & bound solve.  ``time_limit`` adds
     an opt-in wall clock; the default ``None`` leaves the node budget as
     the only limit, so removal orders do not depend on host speed.
@@ -256,56 +269,62 @@ class TwoStepRanker(Ranker):
     ) -> list[tuple[int, QueryResult, int, object]]:
         """(case position, result, site_id, target_label) across all cases.
 
-        The "opaque solver pick" among each case's tied optima consumes
-        ``ctx.rng`` strictly in case order.
+        Cases are solved one at a time and the picks consume ``ctx.rng``
+        strictly in case order.  An iteration whose enumeration fails
+        leaves ``ctx.rng`` as it found it, so later draws do not depend on
+        how far the failed iteration got.
         """
-        enumerations = [
-            self._enumerate_case(case_result) for case_result in ctx.case_results
-        ]
+        rng_state = ctx.rng.bit_generator.state
         marked: list[tuple[int, QueryResult, int, object]] = []
-        total_ambiguity = 1
-        for position, ((case, result), enumeration) in enumerate(
-            zip(ctx.case_results, enumerations)
-        ):
-            direct_marks, direct_sites, encoder, solutions = enumeration
-            marked.extend((position, *mark) for mark in direct_marks)
-            if solutions is None:
-                continue
-            total_ambiguity *= len(solutions)
-            chosen = pick_solution(solutions, ctx.rng)
-            for site_id, label in encoder.marked_mispredictions(chosen):
-                if site_id not in direct_sites:
-                    marked.append((position, result, site_id, label))
-        ctx.diagnostics["ambiguity"] = total_ambiguity
+        enumerated: list[int] = []
+        exhausted: list[bool] = []
+        try:
+            for position, (case, result) in enumerate(ctx.case_results):
+                direct = [
+                    c for c in case.complaints if isinstance(c, PredictionComplaint)
+                ]
+                # Direct point complaints are unambiguous: mark them outright.
+                marked.extend(
+                    (position, result, complaint.site_id(result), complaint.label)
+                    for complaint in direct
+                    if not complaint.is_satisfied(result)
+                )
+                if len(direct) == len(case.complaints):
+                    continue
+                direct_sites = {complaint.site_id(result) for complaint in direct}
+                encoder = make_encoder(result)
+                encoder.add_complaints(case.complaints)  # point complaints pin sites
+                chosen, count, ran_out = self._pick_optimum(encoder.program, ctx.rng)
+                enumerated.append(count)
+                exhausted.append(ran_out)
+                for site_id, label in encoder.marked_mispredictions(chosen):
+                    if site_id not in direct_sites:
+                        marked.append((position, result, site_id, label))
+        except (ILPTimeoutError, InfeasibleError):
+            ctx.rng.bit_generator.state = rng_state
+            raise
+        ctx.diagnostics["optima_enumerated"] = enumerated
+        ctx.diagnostics["enumeration_exhausted"] = exhausted
         return marked
 
-    def _enumerate_case(self, case_result: tuple[ComplaintCase, QueryResult]):
-        """One case's direct marks plus its enumerated ILP optima (or None)."""
-        case, result = case_result
-        direct = [
-            c for c in case.complaints if isinstance(c, PredictionComplaint)
-        ]
-        indirect = [
-            c for c in case.complaints if not isinstance(c, PredictionComplaint)
-        ]
-        # Direct point complaints are unambiguous: mark them outright.
-        direct_marks = [
-            (result, complaint.site_id(result), complaint.label)
-            for complaint in direct
-            if not complaint.is_satisfied(result)
-        ]
-        direct_sites = {complaint.site_id(result) for complaint in direct}
-        if not indirect:
-            return direct_marks, direct_sites, None, None
-        encoder = make_encoder(result)
-        encoder.add_complaints(case.complaints)  # point complaints pin sites
+    def _pick_optimum(
+        self, program: BinaryProgram, rng: np.random.Generator
+    ) -> tuple[ILPSolution, int, bool]:
+        """(picked optimum, optima enumerated, whether they ran out).
+
+        Draws the pick ``j`` first and enumerates only ``j + 1`` optima; a
+        case with fewer optima redraws uniformly among all of them.
+        """
+        j = int(rng.integers(self.ambiguity_cap))
         solutions = enumerate_optima(
-            encoder.program,
-            max_solutions=self.ambiguity_cap,
+            program,
+            max_solutions=j + 1,
             node_limit=self.node_limit,
             time_limit=self.time_limit,
         )
-        return direct_marks, direct_sites, encoder, solutions
+        if len(solutions) > j:
+            return solutions[j], len(solutions), False
+        return pick_solution(solutions, rng), len(solutions), True
 
     # -- influence step ----------------------------------------------------------
 

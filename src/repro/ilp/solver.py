@@ -18,11 +18,12 @@ The HiGHS bindings ship with scipy >= 1.15; without them
 
 Also provided:
 
-- :func:`enumerate_optima` — all optimal solutions up to a cap, found by
-  repeatedly adding *no-good cuts*.  TwoStep uses this both to measure
-  complaint **ambiguity** (the number of satisfying minimal fixes,
-  Section 5.2.2) and to emulate an opaque solver "picking one solution"
-  (a seeded uniform choice, matching Theorem A.1's random-pick model).
+- :func:`enumerate_optima` — the optimal solutions up to a cap, found by
+  repeatedly adding *no-good cuts*, in an order that does not depend on
+  the cap.  TwoStep uses it to emulate an opaque solver "picking one" of
+  the tied minimal fixes (Section 5.2.2) as a seeded uniform choice,
+  matching Theorem A.1's random-pick model: it draws the pick first and
+  enumerates only up to it.
 - a node/time budget: the paper itself reports TwoStep's ILP not finishing
   within 30 minutes on the mix-rate experiment, so hitting the budget is a
   *reportable outcome* (:class:`~repro.errors.ILPTimeoutError`), not a bug.
@@ -257,9 +258,11 @@ def enumerate_optima(
 
     Finds one optimum, then repeatedly adds a *no-good cut* excluding the
     last solution while constraining the objective to the optimal value.
-    The length of the returned list (vs. ``max_solutions``) is TwoStep's
-    ambiguity measurement.  The cuts are appended to one live HiGHS model
-    instead of being re-parsed from scratch on every enumeration step.
+    The list is a prefix of any longer enumeration of the same program (a
+    higher ``max_solutions`` only appends), and a list shorter than
+    ``max_solutions`` holds every optimum.  The cuts are appended to one
+    live HiGHS model instead of being re-parsed from scratch on every
+    enumeration step.
 
     The first optimum must be proven: pinning the objective to a value
     branch & bound could not certify would enumerate around a possibly

@@ -215,7 +215,11 @@ class TestLoop:
         report = debugger.run(max_removals=10, k_per_iteration=5)
         assert report.method == "twostep"
         assert len(report.removal_order) > 0
-        assert "ambiguity" in report.iterations[0].diagnostics
+        diagnostics = report.iterations[0].diagnostics
+        # One ILP case: one optimum count and one exhaustion flag.
+        assert len(diagnostics["optima_enumerated"]) == 1
+        assert 1 <= diagnostics["optima_enumerated"][0] <= 2
+        assert len(diagnostics["enumeration_exhausted"]) == 1
 
     def test_auto_prefers_holistic_for_ambiguous_count(self, debug_setting):
         db, model, X, y, corrupted, case = debug_setting
