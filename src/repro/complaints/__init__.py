@@ -7,7 +7,6 @@ from .complaint import (
     TupleComplaint,
     ValueComplaint,
     all_satisfied,
-    all_satisfied_columnar,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "TupleComplaint",
     "ValueComplaint",
     "all_satisfied",
-    "all_satisfied_columnar",
 ]

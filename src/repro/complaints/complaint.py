@@ -26,7 +26,6 @@ from typing import Union
 import numpy as np
 
 from ..errors import ComplaintError
-from ..relational import provenance as prov
 from ..relational.compile import FALSE_NODE
 from ..relational.executor import QueryResult
 
@@ -51,24 +50,25 @@ class ValueComplaint:
                 "specify exactly one of row_index / group_key for a value complaint"
             )
 
-    def polynomial(self, result: QueryResult) -> prov.NumExpr:
-        """The provenance polynomial of the complained-about cell."""
-        if self.group_key is not None:
-            return result.group_polynomial_by_key(self.group_key, self.column)
-        return result.cell_polynomial(self.row_index, self.column)
-
-    def current_value(self, result: QueryResult) -> float:
-        return float(
-            self.polynomial(result).evaluate(result.assignment())
+    def cell_node(self, result: QueryResult) -> int:
+        """Node id of the complained-about cell's provenance polynomial."""
+        return result.cell_node_for(
+            self.column, row_index=self.row_index, group_key=self.group_key
         )
 
-    def is_satisfied(self, result: QueryResult) -> bool:
-        current = self.current_value(result)
+    def current_value(self, result: QueryResult) -> float:
+        return float(_node_values(result, [self.cell_node(result)])[0])
+
+    def satisfied_by(self, value: float) -> bool:
+        """Whether a cell that evaluates to ``value`` resolves the complaint."""
         if self.op == "=":
-            return bool(np.isclose(current, self.value))
+            return bool(np.isclose(value, self.value))
         if self.op == "<=":
-            return bool(current <= self.value + 1e-9)
-        return bool(current >= self.value - 1e-9)
+            return bool(value <= self.value + 1e-9)
+        return bool(value >= self.value - 1e-9)
+
+    def is_satisfied(self, result: QueryResult) -> bool:
+        return self.satisfied_by(self.current_value(result))
 
 
 @dataclass(frozen=True)
@@ -147,36 +147,25 @@ class TupleComplaint:
             return "candidate", int(matches[0]) if matches.size else None
         return "row", self.row_index
 
-    def condition(self, result: QueryResult) -> prov.BoolExpr:
-        """The existence condition of the offending tuple."""
-        kind, target = self.target(result)
-        if kind == "group":
-            return target.condition
-        if kind == "candidate":
-            if target is None:
-                return prov.FALSE
-            return result.candidate_batch.condition(target)
-        return result.tuple_condition(target)
-
     def condition_node(self, result: QueryResult) -> int:
-        """Compiled node of the existence condition (FALSE for a non-candidate)."""
+        """Node id of the existence condition (FALSE for a non-candidate)."""
         kind, target = self.target(result)
         if kind == "row":
             return int(result.tuple_condition_node(target))
         if kind == "group":
-            node = target.condition_node
-        elif target is None:
+            return int(target.condition_node)
+        if target is None:
             return FALSE_NODE
-        elif result.candidate_cond_nodes is None:
-            node = None
-        else:
-            node = result.candidate_cond_nodes[target]
-        if node is None:
-            raise ComplaintError("condition nodes need compiled mode")
-        return int(node)
+        return int(result.candidate_cond_nodes[target])
+
+    def satisfied_by(self, value: float) -> bool:
+        """Whether an existence condition that evaluates to ``value`` (0/1)
+        resolves the complaint: the tuple must not exist."""
+        return value == 0.0
 
     def is_satisfied(self, result: QueryResult) -> bool:
-        return not self.condition(result).evaluate(result.assignment())
+        node = self.condition_node(result)
+        return self.satisfied_by(float(_node_values(result, [node])[0]))
 
 
 @dataclass(frozen=True)
@@ -225,76 +214,39 @@ class ComplaintCase:
             raise ComplaintError("a complaint case needs at least one complaint")
 
 
+def _node_values(result: QueryResult, nodes) -> np.ndarray:
+    """Values of pool ``nodes`` under ``result``'s current labels."""
+    program = result.program(np.asarray(nodes, dtype=np.int64))
+    return program.evaluate_labels(result.runtime.site_label_ids(result.pool))
+
+
 def all_satisfied(case_results: list[tuple[ComplaintCase, QueryResult]]) -> bool:
     """True when every complaint in every case is resolved.
 
-    Walks each complaint's provenance tree; the Rain loop uses
-    :func:`all_satisfied_columnar`, which tests pin to this.
-    """
-    return all(
-        complaint.is_satisfied(result)
-        for case, result in case_results
-        for complaint in case.complaints
-    )
-
-
-def _complaint_node(complaint: Complaint, result: QueryResult) -> int:
-    """The compiled node id a complaint's satisfaction depends on."""
-    if isinstance(complaint, ValueComplaint):
-        return result.cell_node_for(
-            complaint.column,
-            row_index=complaint.row_index,
-            group_key=complaint.group_key,
-        )
-    return complaint.condition_node(result)
-
-
-def _value_satisfied(complaint: Complaint, value: float) -> bool:
-    """The satisfaction predicate applied to an evaluated node value."""
-    if isinstance(complaint, TupleComplaint):
-        return value == 0.0  # existence condition is false
-    if complaint.op == "=":
-        return bool(np.isclose(value, complaint.value))
-    if complaint.op == "<=":
-        return bool(value <= complaint.value + 1e-9)
-    return bool(value >= complaint.value - 1e-9)
-
-
-def all_satisfied_columnar(
-    case_results: list[tuple[ComplaintCase, QueryResult]]
-) -> bool:
-    """Columnar :func:`all_satisfied` for compiled results.
-
-    The tree path materializes every complained-about cell's expression
-    tree from the node pool before evaluating it — at serving scale that
-    costs as much as executing the query again.  Here all complaint node
-    ids over one result are evaluated in a single vectorized discrete
-    forward pass (the result's
+    All complaint nodes over one result are evaluated in a single
+    vectorized forward pass (the result's
     :meth:`~repro.relational.executor.QueryResult.program` over the
     already-frozen pool, built once per lineage and node set, fed the
-    dense site-label array), with the same per-complaint satisfaction
-    predicates applied to the root values.  Prediction complaints and
-    tree-built results (the tree oracle's, which have no pool) fall back
-    to the per-complaint path.
-
-    This is the Rain loop's satisfaction check; :func:`all_satisfied`
-    stays as the test oracle it is pinned against.
+    dense site-label array), and each value is tested with its
+    complaint's ``satisfied_by``.  A prediction complaint reads its site's
+    label instead.
     """
     grouped: dict[int, tuple[QueryResult, list[int], list[Complaint]]] = {}
     for case, result in case_results:
         for complaint in case.complaints:
-            if isinstance(complaint, PredictionComplaint) or not result.compiled:
+            if isinstance(complaint, PredictionComplaint):
                 if not complaint.is_satisfied(result):
                     return False
                 continue
-            node = _complaint_node(complaint, result)
+            if isinstance(complaint, ValueComplaint):
+                node = complaint.cell_node(result)
+            else:
+                node = complaint.condition_node(result)
             entry = grouped.setdefault(id(result), (result, [], []))
             entry[1].append(node)
             entry[2].append(complaint)
     for result, nodes, complaints in grouped.values():
-        program = result.program(np.asarray(nodes, dtype=np.int64))
-        values = program.evaluate_labels(result.runtime.site_label_ids(result.pool))
-        for value, complaint in zip(values, complaints):
-            if not _value_satisfied(complaint, float(value)):
+        for value, complaint in zip(_node_values(result, nodes), complaints):
+            if not complaint.satisfied_by(float(value)):
                 return False
     return True

@@ -38,12 +38,11 @@ otherwise use Holistic.  The probe is budgeted in branch & bound nodes
 only, never in wall-clock seconds, so the choice does not depend on how
 fast or loaded the host is.
 
-Complaint satisfaction is drained columnar
-(:func:`~repro.complaints.complaint.all_satisfied_columnar`): all
-complaint nodes over one compiled result are evaluated in one vectorized
-pass instead of materializing each complained-about cell's provenance
-tree.  The flag only steers control flow under ``stop_when_satisfied``;
-it never feeds the ranking.
+Complaint satisfaction is drained by
+:func:`~repro.complaints.complaint.all_satisfied`: all complaint nodes
+over one result are evaluated in one vectorized pass.  The flag only
+steers control flow under ``stop_when_satisfied``; it never feeds the
+ranking.
 """
 
 from __future__ import annotations
@@ -52,14 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# The loop drains with all_satisfied_columnar only; the tree-walking
-# all_satisfied stays bound here because bench/trace.py wraps both names
-# in this namespace.
-from ..complaints.complaint import (  # noqa: F401
-    ComplaintCase,
-    all_satisfied,
-    all_satisfied_columnar,
-)
+from ..complaints.complaint import ComplaintCase, all_satisfied
 from ..errors import DebuggingError, ILPError
 from ..ilp.encode import make_encoder
 from ..ilp.solver import enumerate_optima
@@ -70,6 +62,10 @@ from ..relational.schema import Database
 from ..relational.sql import plan_sql
 from ..utils import Stopwatch, argsort_desc, as_rng
 from .rankers import IterationContext, WarmStartState, make_ranker
+
+# The drain's former name: the benchmark's tracer (``bench/trace.py``)
+# still wraps it, so it stays bound to the one satisfaction check.
+all_satisfied_columnar = all_satisfied
 
 
 @dataclass
@@ -234,7 +230,7 @@ class RainDebugger:
             with watch.time("execute"):
                 case_results, lineage = self._execute_stage()
 
-            satisfied = bool(case_results) and all_satisfied_columnar(case_results)
+            satisfied = bool(case_results) and all_satisfied(case_results)
             if self.stop_when_satisfied and satisfied:
                 stopped_reason = "complaints_satisfied"
                 iterations.append(

@@ -142,7 +142,9 @@ def run(
                     f"recall[{method}|{combo_name}]@{fraction}"
                 ] = summary["recall_curve"]
     result.notes.append(
-        "paper Figure 8 shape: TwoStep and Loss find nothing (duplicate "
-        "features); Holistic improves when combining both complaints."
+        "the paper's Figure 8 has TwoStep and Loss find nothing (duplicate "
+        "features) and Holistic improve when combining both complaints; "
+        "here Loss finds nothing but TwoStep does find corruptions on both "
+        "complaints (why is an open question, see ROADMAP.md)."
     )
     return result

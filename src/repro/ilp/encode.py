@@ -64,10 +64,10 @@ from .solver import ILPSolution
 
 Affine = tuple[dict[int, float], float]
 
-# A pool node's numeric value is handled as the *form* of the expression it
-# materializes to (``NodePool.to_expr``), so that every fold of
-# ``provenance.add_``/``mul_`` (their shared rules, ``NumFolding``) is
-# applied exactly as the tree would have it:
+# A pool node's numeric value is handled as the *form* of the expression
+# tree it materializes to (the oracle's ``to_expr``), so that every fold of
+# a sum or product (the shared rules, ``NumFolding``) is applied exactly as
+# the tree would have it:
 # ``("const", v)`` ConstNum, ``("bool", node)`` the indicator of a canonical
 # boolean node, ``("lin", coeffs, nodes)`` LinearSum, ``("add", forms)``
 # AddExpr, ``("mul", forms)`` MulExpr, ``("div", num, den)`` DivExpr.
@@ -91,7 +91,7 @@ def _affine_scale(a: Affine, scale: float) -> Affine:
 
 
 class _Forms(NumFolding):
-    """``provenance.add_``/``mul_``'s folds over forms."""
+    """The sum and product folds (``NumFolding``) over forms."""
 
     def const(self, value: float) -> tuple:
         return ("const", value)
@@ -116,7 +116,7 @@ _FORMS = _Forms()
 
 
 class _NodeConjunction(AndFolding):
-    """``provenance.and_``'s folds over canonical boolean pool nodes.
+    """The conjunction folds (``AndFolding``) over canonical boolean pool nodes.
 
     A conjunction left with two or more children is *virtual*: the tuple
     of its canonical children, a brand-new AND no pool node stands for.
@@ -272,12 +272,7 @@ class TiresiasEncoder:
         raise ILPError(f"unknown complaint type {type(complaint).__name__}")
 
     def _add_value_complaint(self, complaint: ValueComplaint) -> None:
-        node = self.result.cell_node_for(
-            complaint.column,
-            row_index=complaint.row_index,
-            group_key=complaint.group_key,
-        )
-        form = self._num_form(int(node))
+        form = self._num_form(complaint.cell_node(self.result))
         roots: list = []
         if form[0] == "div":
             # AVG: num / den op X  →  num - X·den op 0 (den ≥ 0), with the
@@ -382,7 +377,7 @@ class TiresiasEncoder:
         return ("scale", ("sum", terms), constant)
 
     def _conjunction(self, factors: list[int], roots: list) -> int:
-        """Root index of ``provenance.and_`` over canonical boolean nodes.
+        """Root index of the folded conjunction of canonical boolean nodes.
 
         A virtual conjunction is an AND the aux cache never sees, so it
         gets its own aux variable while its children are shared.

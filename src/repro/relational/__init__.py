@@ -3,7 +3,7 @@
 This package implements the "Query 2.0" query processor that Rain debugs:
 an in-memory SPJA engine whose WHERE/SELECT/GROUP BY clauses may embed
 ``model.predict(...)`` calls, with a debug mode that captures boolean and
-aggregate provenance over prediction atoms.
+aggregate provenance over prediction atoms as compiled node ids.
 """
 
 from .algebra import AggSpec, Aggregate, Filter, Join, Plan, Project, Scan
@@ -26,25 +26,7 @@ from .expressions import (
     lit,
     predict,
 )
-from .provenance import (
-    FALSE,
-    TRUE,
-    AndExpr,
-    BoolExpr,
-    ConstNum,
-    DivExpr,
-    InferenceSite,
-    LinearSum,
-    NotExpr,
-    NumExpr,
-    OrExpr,
-    PredIs,
-    SiteRegistry,
-    and_,
-    not_,
-    or_,
-    pred_value,
-)
+from .provenance import InferenceSite, SiteRegistry
 from .schema import Database, Relation
 from .sql import ParsedQuery, parse, plan_sql
 
@@ -54,8 +36,6 @@ __all__ = [
     "QueryRuntime", "TupleBatch", "Executor", "GroupInfo", "QueryResult",
     "Arith", "BoolAnd", "BoolNot", "BoolOr", "Cmp", "Col", "Const", "Expr",
     "Like", "ModelPredict", "col", "eq", "lit", "predict",
-    "FALSE", "TRUE", "AndExpr", "BoolExpr", "ConstNum", "DivExpr",
-    "InferenceSite", "LinearSum", "NotExpr", "NumExpr", "OrExpr", "PredIs",
-    "SiteRegistry", "and_", "not_", "or_", "pred_value",
+    "InferenceSite", "SiteRegistry",
     "Database", "Relation", "ParsedQuery", "parse", "plan_sql",
 ]

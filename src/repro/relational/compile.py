@@ -1,10 +1,8 @@
-"""Tensorized provenance: compile Bool/Num polynomials into flat arrays.
+"""Compiled provenance: polynomials as flat node arrays.
 
-The interpreted provenance of :mod:`repro.relational.provenance` represents
-every existence condition and aggregate polynomial as a Python object tree
-and evaluates it by recursion — one Python call per operator per tuple.
-This module is the *compiled* counterpart: provenance is lowered into a
-:class:`NodePool`, a flat columnar store of expression nodes
+The debug-mode executor records every existence condition and aggregate
+polynomial (:mod:`repro.relational.provenance`) in a :class:`NodePool`, a
+flat columnar store of expression nodes
 
 - ``op``        — one small-int opcode per node,
 - ``children``  — a CSR layout (``child_start``/``child_end`` into one flat
@@ -30,13 +28,13 @@ Three evaluation modes share the same tape:
   vector-Jacobian product ``Σ_r seed[r] · ∂value_r/∂P`` via one backward
   pass (exclusive products handle zero factors exactly).
 
-The executor writes nodes directly in compiled form (one bulk constructor
-call per operator per batch — see :meth:`NodePool.atoms`,
-:meth:`NodePool.and2`, :meth:`NodePool.or_segments`), and any compiled
-node can be materialized back into an equivalent expression tree with
-:func:`NodePool.to_expr` for consumers that still walk trees (complaint
-replay, the test oracles).  The reverse lowering of a tree into a pool
-is test-only; it lives with the tree executor in ``tests/oracles/``.
+The executor writes nodes in bulk (one constructor call per operator per
+batch — see :meth:`NodePool.atoms`, :meth:`NodePool.and2`,
+:meth:`NodePool.or_segments`), and every consumer — the complaint check,
+TwoStep's ILP encoder, Holistic's relaxation — reads node ids.  The seed's
+expression-tree spelling of the same polynomials, with the conversions
+between trees and pools, is the test oracle ``tests/oracles/provenance.py``
+and ``tests/oracles/lowering.py``.
 
 Worked example — ``COUNT(*) WHERE predict(x) = 'match'`` over three rows::
 
@@ -57,7 +55,6 @@ import numpy as np
 
 from ..errors import ProvenanceError, RelaxationError
 from ..utils import grow_array
-from . import provenance as prov
 
 # Opcodes.  FALSE/TRUE are the two reserved constant nodes 0 and 1.
 OP_CONST = 0  # numeric constant; payload = value
@@ -95,7 +92,6 @@ class NodePool:
         self._label_ids: dict[object, int] = {}
         # label_id -> dense site-indexed table of atom node ids (-1 = none).
         self._atom_tables: dict[int, np.ndarray] = {}
-        self._expr_cache: dict[int, object] = {}
         self._frozen: _FrozenPool | None = None
         # FALSE and TRUE constants.
         self._append_scalar(OP_CONST, value=0.0, is_bool=True)
@@ -184,19 +180,6 @@ class NodePool:
         table = grow_array(table, min_size, fill=-1)
         self._atom_tables[label_id] = table
         return table
-
-    def atom(self, site_id: int, label: object) -> int:
-        """The (deduplicated) atom node ``[site = label]``."""
-        site_id = int(site_id)
-        label_id = self.intern_label(label)
-        table = self._atom_table(label_id, site_id + 1)
-        node = int(table[site_id])
-        if node < 0:
-            node = self._append_scalar(
-                OP_ATOM, site=site_id, label=label_id, is_bool=True
-            )
-            table[site_id] = node
-        return node
 
     def atoms(self, site_ids: np.ndarray, label_ids: np.ndarray) -> np.ndarray:
         """Vectorized atom interning for parallel (site, label-id) arrays."""
@@ -381,7 +364,7 @@ class NodePool:
         empty = counts == 0
         if np.any(empty):
             n_empty = int(np.count_nonzero(empty))
-            # Childless ADD nodes: value 0, materialize as empty LinearSums.
+            # Childless ADD nodes: the constant 0.
             out[empty] = self._append_bulk(
                 OP_ADD,
                 n_empty,
@@ -438,65 +421,6 @@ class NodePool:
         offsets = np.arange(n + 1, dtype=np.int64) * 2
         return self._append_bulk(OP_DIV, n, child_flat, offsets)
 
-    # -- materializing compiled nodes back into trees --------------------------------------
-
-    def to_expr(self, node: int) -> prov.BoolExpr | prov.NumExpr:
-        """Materialize a compiled node as an equivalent expression tree.
-
-        The result is value-equivalent (and relaxation-equivalent) to the
-        compiled node; structural normalizations applied during compilation
-        (constant folding, identity elision) are not undone.  Materialized
-        trees are cached per node, so repeated calls — and shared
-        subexpressions across calls — return the *same* objects, exactly as
-        the tree-building path shares DAG nodes.
-        """
-        memo = self._expr_cache
-        stack: list[tuple[int, bool]] = [(int(node), False)]
-        while stack:
-            current, processed = stack.pop()
-            if current in memo:
-                continue
-            start, end = self._child_start[current], self._child_end[current]
-            children = self._child[start:end]
-            if not processed:
-                stack.append((current, True))
-                stack.extend((child, False) for child in children if child not in memo)
-                continue
-            memo[current] = self._materialize_one(current, children, memo)
-        return memo[int(node)]
-
-    def to_exprs(self, nodes: Sequence[int]) -> list:
-        return [self.to_expr(node) for node in nodes]
-
-    def _materialize_one(self, node: int, children: list[int], memo: dict):
-        op = self._op[node]
-        if node == FALSE_NODE:
-            return prov.FALSE
-        if node == TRUE_NODE:
-            return prov.TRUE
-        if op == OP_CONST:
-            return prov.ConstNum(self._value[node])
-        if op == OP_ATOM:
-            return prov.PredIs(self._site[node], self.labels[self._label[node]])
-        kids = [memo[child] for child in children]
-        if op == OP_NOT:
-            return prov.not_(kids[0])
-        if op == OP_AND:
-            return prov.and_(*kids)
-        if op == OP_OR:
-            return prov.or_(*kids)
-        if op == OP_MUL:
-            return prov.mul_(*[_as_num(kid) for kid in kids])
-        if op == OP_DIV:
-            return prov.DivExpr(_as_num(kids[0]), _as_num(kids[1]))
-        if op == OP_ADD:
-            start = self._child_start[node]
-            coeffs = self._coeff[start : self._child_end[node]]
-            if all(isinstance(kid, prov.BoolExpr) for kid in kids):
-                return prov.LinearSum(list(zip(coeffs, kids)))
-            return prov.weighted_sum(coeffs, [_as_num(kid) for kid in kids])
-        raise ProvenanceError(f"unknown opcode {op}")
-
     # -- frozen view ----------------------------------------------------------------------
 
     def frozen(self) -> "_FrozenPool":
@@ -504,10 +428,6 @@ class NodePool:
         if self._frozen is None:
             self._frozen = _FrozenPool(self)
         return self._frozen
-
-
-def _as_num(expr):
-    return prov.BoolAsNum(expr) if isinstance(expr, prov.BoolExpr) else expr
 
 
 class _FrozenPool:
@@ -568,11 +488,12 @@ class _FrozenPool:
     def bool_structure(self) -> "BoolStructure":
         """Canonicalized boolean structure of the pool (cached per freeze).
 
-        :meth:`NodePool.to_expr` does not replay the raw CSR verbatim — its
-        ``prov.and_``/``or_``/``not_`` constructors fold constants, elide
-        single-child operators, splice same-op children, and collapse double
-        negation.  The ILP encoder must see exactly that *effective*
-        structure to stay bit-identical with the tree walk, so this pass
+        A node's *effective* structure is the one the fold rules give
+        it: constants fold, single-child operators elide, same-op
+        children splice, and double negation collapses (the seed's tree
+        constructors, whose materialized trees the oracle encoder walks).
+        The ILP encoder must see exactly that structure to stay
+        bit-identical with the tree walk, so this pass
         mirrors the folds bottom-up over the node arrays (index order is a
         valid level order — children strictly precede parents):
 

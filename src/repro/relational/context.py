@@ -5,10 +5,7 @@ objects: a set of qualified columns (``alias.column``) plus, per aliased
 base relation, the base row ids each output tuple derives from.  In debug
 mode each tuple additionally carries its boolean existence condition as a
 node id into the runtime's shared
-:class:`~repro.relational.compile.NodePool` (one int64 per tuple).  A
-batch can instead carry per-tuple
-:class:`~repro.relational.provenance.BoolExpr` trees; only the tree
-executor of the test oracles (``tests/oracles/executor.py``) builds those.
+:class:`~repro.relational.compile.NodePool` (one int64 per tuple).
 
 :class:`QueryRuntime` holds everything that outlives one batch: the model
 registry, the inference-site registry, and the per-site prediction cache.
@@ -29,7 +26,7 @@ import numpy as np
 from ..errors import QueryError, SchemaError
 from ..utils import grow_array
 from .compile import NodePool, TRUE_NODE
-from .provenance import TRUE, BoolExpr, SiteRegistry
+from .provenance import SiteRegistry
 from .schema import Database
 
 
@@ -283,11 +280,11 @@ class TupleBatch:
         columns: qualified column name (``alias.column``) -> value array.
         alias_relations: alias -> underlying base relation name.
         alias_row_ids: alias -> int64 array of base row ids (one per tuple).
-        conditions: per-tuple existence condition trees (a tree-built
-            batch), or ``None``.  On a compiled batch this property
-            materializes trees from ``cond_nodes`` on first access.
         cond_nodes: per-tuple condition node ids into ``pool`` (debug
             mode), or ``None``.
+
+    The executor joins through ``type(left).paired``, so a subclass can
+    carry per-tuple data of its own (the tree oracle's conditions).
     """
 
     def __init__(
@@ -295,7 +292,6 @@ class TupleBatch:
         columns: Mapping[str, np.ndarray],
         alias_relations: Mapping[str, str],
         alias_row_ids: Mapping[str, np.ndarray],
-        conditions: list[BoolExpr] | None = None,
         cond_nodes: np.ndarray | None = None,
         pool: NodePool | None = None,
     ) -> None:
@@ -310,11 +306,6 @@ class TupleBatch:
         if len(lengths) > 1:
             raise SchemaError(f"inconsistent batch column lengths: {lengths}")
         self._n_rows = lengths.pop() if lengths else 0
-        if conditions is not None and len(conditions) != self._n_rows:
-            raise SchemaError(
-                f"{len(conditions)} conditions for {self._n_rows} tuples"
-            )
-        self._conditions = conditions
         if cond_nodes is not None:
             cond_nodes = np.asarray(cond_nodes, dtype=np.int64)
             if cond_nodes.shape[0] != self._n_rows:
@@ -328,12 +319,6 @@ class TupleBatch:
 
     def __len__(self) -> int:
         return self._n_rows
-
-    @property
-    def conditions(self) -> list[BoolExpr] | None:
-        if self._conditions is None and self.cond_nodes is not None:
-            self._conditions = self.pool.to_exprs(self.cond_nodes)
-        return self._conditions
 
     @property
     def column_names(self) -> list[str]:
@@ -365,28 +350,12 @@ class TupleBatch:
 
     def take(self, indices: np.ndarray) -> "TupleBatch":
         indices = np.asarray(indices, dtype=np.int64)
-        columns = {name: values[indices] for name, values in self.columns.items()}
-        alias_row_ids = {
-            alias: ids[indices] for alias, ids in self.alias_row_ids.items()
-        }
-        conditions = None
-        cond_nodes = None
-        if self.cond_nodes is not None:
-            cond_nodes = self.cond_nodes[indices]
-        elif self._conditions is not None:
-            conditions = [self._conditions[int(i)] for i in indices]
         return TupleBatch(
-            columns,
+            {name: values[indices] for name, values in self.columns.items()},
             self.alias_relations,
-            alias_row_ids,
-            conditions,
-            cond_nodes=cond_nodes,
+            {alias: ids[indices] for alias, ids in self.alias_row_ids.items()},
+            cond_nodes=None if self.cond_nodes is None else self.cond_nodes[indices],
             pool=self.pool,
-        )
-
-    def with_conditions(self, conditions: list[BoolExpr]) -> "TupleBatch":
-        return TupleBatch(
-            self.columns, self.alias_relations, self.alias_row_ids, conditions
         )
 
     def with_cond_nodes(self, cond_nodes: np.ndarray) -> "TupleBatch":
@@ -394,40 +363,25 @@ class TupleBatch:
             self.columns,
             self.alias_relations,
             self.alias_row_ids,
-            None,
             cond_nodes=cond_nodes,
             pool=self.pool,
         )
 
-    def condition(self, index: int) -> BoolExpr:
-        if self.cond_nodes is not None:
-            return self.pool.to_expr(int(self.cond_nodes[index]))
-        if self._conditions is None:
-            return TRUE
-        return self._conditions[index]
-
     @classmethod
     def from_relation(
-        cls,
-        relation,
-        alias: str,
-        debug: bool = False,
-        pool: NodePool | None = None,
+        cls, relation, alias: str, pool: NodePool | None = None
     ) -> "TupleBatch":
+        """Every row of ``relation``; with a debug ``pool``, each one TRUE."""
         columns = {
             f"{alias}.{name}": values for name, values in relation.columns.items()
         }
-        conditions: list[BoolExpr] | None = None
-        cond_nodes: np.ndarray | None = None
-        if debug and pool is not None:
+        cond_nodes = None
+        if pool is not None:
             cond_nodes = np.full(len(relation), TRUE_NODE, dtype=np.int64)
-        elif debug:
-            conditions = [TRUE] * len(relation)
         return cls(
             columns,
             {alias: relation.name},
             {alias: relation.row_ids},
-            conditions,
             cond_nodes=cond_nodes,
             pool=pool,
         )
@@ -452,8 +406,6 @@ class TupleBatch:
         right_index: np.ndarray,
     ) -> "TupleBatch":
         """Combine selected (left, right) tuple pairs into one batch."""
-        from .provenance import and_  # local import to avoid cycle at module load
-
         columns: dict[str, np.ndarray] = {}
         for name, values in left.columns.items():
             columns[name] = values[left_index]
@@ -465,28 +417,12 @@ class TupleBatch:
             alias_row_ids[alias] = ids[left_index]
         for alias, ids in right.alias_row_ids.items():
             alias_row_ids[alias] = ids[right_index]
-        conditions = None
         cond_nodes = None
         pool = left.pool or right.pool
         if left.cond_nodes is not None and right.cond_nodes is not None:
             cond_nodes = pool.and2(
                 left.cond_nodes[left_index], right.cond_nodes[right_index]
             )
-        elif left._conditions is not None and right._conditions is not None:
-            conditions = [
-                and_(left._conditions[int(li)], right._conditions[int(ri)])
-                for li, ri in zip(left_index, right_index)
-            ]
         return cls(
-            columns,
-            alias_relations,
-            alias_row_ids,
-            conditions,
-            cond_nodes=cond_nodes,
-            pool=pool,
+            columns, alias_relations, alias_row_ids, cond_nodes=cond_nodes, pool=pool
         )
-
-
-def empty_like(batch: TupleBatch) -> TupleBatch:
-    """An empty batch with the same schema as ``batch``."""
-    return batch.take(np.array([], dtype=np.int64))

@@ -15,12 +15,10 @@ directly as node ids into the runtime's shared
 aggregations, and the hash-join probe are columnar batch operations and
 the concrete output is recovered by one vectorized evaluation of all
 conditions/cells (:class:`~repro.relational.compile.CompiledProvenance`).
-Consumers that want trees still get them — ``QueryResult`` and
-``GroupInfo`` materialize expression trees from the pool lazily.  The
-seed's per-tuple :class:`~repro.relational.provenance.BoolExpr` executor
-survives as the test oracle ``tests/oracles/executor.py``
-(``TreeExecutor``); equivalence tests and the compiled-provenance
-benchmark pin this executor to it.
+Results, groups and batches carry node ids only.  The seed's executor,
+which built one expression tree per tuple, survives as the test oracle
+``tests/oracles/executor.py`` (``TreeExecutor``); equivalence tests and
+the compiled-provenance benchmark pin this executor to it.
 
 The concrete query result is recovered by evaluating each condition /
 polynomial under the current prediction assignment, which guarantees the
@@ -46,7 +44,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ProvenanceError, QueryError
-from . import provenance as prov
 from .algebra import (
     Aggregate,
     Filter,
@@ -65,41 +62,15 @@ from .schema import Database, Relation
 class GroupInfo:
     """Debug metadata for one (possibly not-currently-existing) group.
 
-    In compiled mode ``condition``/``cell_polys`` materialize expression
-    trees lazily from ``condition_node``/``cell_nodes``.
+    ``condition_node`` is the group's existence condition and
+    ``cell_nodes`` maps each aggregate column to its cell polynomial, as
+    node ids in the result's pool.
     """
 
-    def __init__(
-        self,
-        key: tuple,
-        condition: prov.BoolExpr | None = None,
-        cell_polys: dict | None = None,
-        condition_node: int | None = None,
-        cell_nodes: dict | None = None,
-        pool: NodePool | None = None,
-    ) -> None:
+    def __init__(self, key: tuple, condition_node: int, cell_nodes: dict) -> None:
         self.key = key
-        self._condition = condition
-        if cell_polys is None and condition_node is None:
-            cell_polys = {}
-        self._cell_polys = cell_polys
         self.condition_node = condition_node
         self.cell_nodes = cell_nodes
-        self.pool = pool
-
-    @property
-    def condition(self) -> prov.BoolExpr:
-        if self._condition is None and self.condition_node is not None:
-            self._condition = self.pool.to_expr(self.condition_node)
-        return self._condition
-
-    @property
-    def cell_polys(self) -> dict:
-        if self._cell_polys is None:
-            self._cell_polys = {
-                name: self.pool.to_expr(node) for name, node in self.cell_nodes.items()
-            }
-        return self._cell_polys
 
     def __repr__(self) -> str:
         return f"GroupInfo(key={self.key!r})"
@@ -113,18 +84,15 @@ class QueryResult:
         runtime: execution state (models, sites, prediction cache).
         candidate_batch: all symbolically-alive tuples (pre-aggregation
             output for SP/SPJ queries); ``None`` outside debug mode.
-        candidate_conditions: existence conditions, aligned with
-            ``candidate_batch`` (materialized lazily in compiled mode).
-        candidate_cond_nodes: compiled condition node ids, aligned with
-            ``candidate_batch``; ``None`` for a tree-built result.
+        candidate_cond_nodes: existence-condition node ids, aligned with
+            ``candidate_batch``.
         output_to_candidate: for SP/SPJ queries, index of each concrete
             output row inside the candidate batch.
         groups: for aggregate queries, one :class:`GroupInfo` per candidate
             group (including groups that are currently empty).
         output_to_group: index of each concrete output row inside ``groups``.
         is_aggregate: whether the root plan node is an Aggregate.
-        pool: the compiled provenance pool, or ``None`` for a tree-built
-            result.
+        pool: the provenance node pool; ``None`` outside debug mode.
     """
 
     def __init__(
@@ -132,7 +100,6 @@ class QueryResult:
         relation: Relation,
         runtime: QueryRuntime,
         candidate_batch: TupleBatch | None = None,
-        candidate_conditions: list[prov.BoolExpr] | None = None,
         output_to_candidate: list[int] | None = None,
         groups: list[GroupInfo] | None = None,
         output_to_group: list[int] | None = None,
@@ -143,7 +110,6 @@ class QueryResult:
         self.relation = relation
         self.runtime = runtime
         self.candidate_batch = candidate_batch
-        self._candidate_conditions = candidate_conditions
         self.candidate_cond_nodes = candidate_cond_nodes
         self.output_to_candidate = output_to_candidate
         self.groups = groups
@@ -161,12 +127,6 @@ class QueryResult:
     @property
     def compiled(self) -> bool:
         return self.pool is not None
-
-    @property
-    def candidate_conditions(self) -> list[prov.BoolExpr] | None:
-        if self._candidate_conditions is None and self.candidate_cond_nodes is not None:
-            self._candidate_conditions = self.pool.to_exprs(self.candidate_cond_nodes)
-        return self._candidate_conditions
 
     def program(self, roots: np.ndarray) -> CompiledProvenance:
         """A compiled program over ``roots`` in this (compiled) result's pool.
@@ -198,25 +158,18 @@ class QueryResult:
         return float(self.relation.column(name)[0])
 
     @staticmethod
-    def _cell_lookup(group: GroupInfo, column: str, compiled: bool):
-        cells = group.cell_nodes if compiled else group.cell_polys
-        if cells is None:
-            raise ProvenanceError("cell nodes are only available in compiled mode")
+    def _cell_lookup(group: GroupInfo, column: str) -> int:
         try:
-            return cells[column]
+            return group.cell_nodes[column]
         except KeyError:
             raise ProvenanceError(
                 f"column {column!r} is not an aggregate output; "
-                f"available: {sorted(cells)}"
+                f"available: {sorted(group.cell_nodes)}"
             ) from None
-
-    def cell_polynomial(self, row_index: int, column: str) -> prov.NumExpr:
-        """Aggregate provenance polynomial for an output cell."""
-        return self._cell_lookup(self._output_group(row_index), column, compiled=False)
 
     def cell_node(self, row_index: int, column: str) -> int:
         """Compiled node id of an aggregate output cell."""
-        return self._cell_lookup(self._output_group(row_index), column, compiled=True)
+        return self._cell_lookup(self._output_group(row_index), column)
 
     def cell_node_for(
         self,
@@ -226,9 +179,7 @@ class QueryResult:
     ) -> int:
         """Compiled cell node addressed by output row or group key."""
         if group_key is not None:
-            return self._cell_lookup(
-                self.group_by_key(group_key), column, compiled=True
-            )
+            return self._cell_lookup(self.group_by_key(group_key), column)
         return self.cell_node(row_index, column)
 
     def _output_group(self, row_index: int) -> GroupInfo:
@@ -247,39 +198,15 @@ class QueryResult:
                 return group
         raise ProvenanceError(f"no candidate group with key {key!r}")
 
-    def group_polynomial_by_key(self, key: tuple, column: str) -> prov.NumExpr:
-        """Aggregate polynomial looked up by group key (works for currently
-        empty groups, which have no output row)."""
-        return self.group_by_key(key).cell_polys[column]
-
-    def tuple_condition(self, row_index: int) -> prov.BoolExpr:
-        """Existence condition of a concrete output tuple (SP/SPJ queries)."""
-        self._require_debug()
-        if self.is_aggregate:
-            if self.groups is None or self.output_to_group is None:
-                raise ProvenanceError("missing group metadata")
-            return self.groups[self.output_to_group[row_index]].condition
-        if self.output_to_candidate is None:
-            raise ProvenanceError("missing candidate metadata")
-        candidate = self.output_to_candidate[row_index]
-        if self.candidate_cond_nodes is not None:
-            return self.pool.to_expr(int(self.candidate_cond_nodes[candidate]))
-        if self._candidate_conditions is None:
-            raise ProvenanceError("missing candidate metadata")
-        return self._candidate_conditions[candidate]
-
     def tuple_condition_node(self, row_index: int) -> int:
         """Compiled node id of a concrete output tuple's condition."""
         self._require_debug()
         if self.is_aggregate:
             if self.groups is None or self.output_to_group is None:
                 raise ProvenanceError("missing group metadata")
-            node = self.groups[self.output_to_group[row_index]].condition_node
-            if node is None:
-                raise ProvenanceError("condition nodes need compiled mode")
-            return node
+            return self.groups[self.output_to_group[row_index]].condition_node
         if self.candidate_cond_nodes is None or self.output_to_candidate is None:
-            raise ProvenanceError("condition nodes need compiled mode")
+            raise ProvenanceError("missing candidate metadata")
         return int(self.candidate_cond_nodes[self.output_to_candidate[row_index]])
 
     def _require_debug(self) -> None:
@@ -537,9 +464,7 @@ class Executor:
 
     def _eval_scan(self, plan: Scan, runtime: QueryRuntime) -> TupleBatch:
         relation = runtime.relation(plan.relation_name)
-        return TupleBatch.from_relation(
-            relation, plan.effective_alias, debug=runtime.debug, pool=runtime.pool
-        )
+        return TupleBatch.from_relation(relation, plan.effective_alias, pool=runtime.pool)
 
     def _eval_filter(self, plan: Filter, runtime: QueryRuntime) -> TupleBatch:
         batch = self._eval(plan.child, runtime)
@@ -562,12 +487,12 @@ class Executor:
         left = self._eval(plan.left, runtime)
         right = self._eval(plan.right, runtime)
         if plan.condition is None:
-            return TupleBatch.cross_product(left, right)
+            return type(left).cross_product(left, right)
         equi, residual = _split_join_condition(plan.condition, left, right)
         if equi:
             joined = _hash_join(left, right, equi)
         else:
-            joined = TupleBatch.cross_product(left, right)
+            joined = type(left).cross_product(left, right)
         if residual is not None:
             joined = self._apply_predicate(joined, residual, runtime)
         return joined
@@ -581,7 +506,6 @@ class Executor:
             columns,
             batch.alias_relations,
             batch.alias_row_ids,
-            batch.conditions if batch.cond_nodes is None else None,
             cond_nodes=batch.cond_nodes,
             pool=batch.pool,
         )
@@ -803,7 +727,6 @@ class Executor:
                     spec.name: int(cell_nodes[spec.name][g])
                     for spec in plan.aggregates
                 },
-                pool=pool,
             )
             for g in range(n_groups)
         ]
@@ -1018,7 +941,7 @@ def _hash_join(
     base = np.repeat(np.cumsum(counts) - counts, counts)
     position = np.arange(total, dtype=np.int64) - base
     right_index = right_order[np.repeat(starts, counts) + position]
-    return TupleBatch.paired(left, right, left_index, right_index)
+    return type(left).paired(left, right, left_index, right_index)
 
 
 def _unsafe_key_promotion(left_dtype: np.dtype, right_dtype: np.dtype) -> bool:
@@ -1063,7 +986,7 @@ def _hash_join_reference(
         for j in table.get(key, ()):
             left_index.append(i)
             right_index.append(j)
-    return TupleBatch.paired(
+    return type(left).paired(
         left,
         right,
         np.asarray(left_index, dtype=np.int64),

@@ -11,7 +11,7 @@ for the debug-mode executor, *symbolically* as node ids in the runtime's
   polynomials.
 
 The seed's tree-building forms (``symbolic_bool``/``symbolic_num`` over
-:class:`~repro.relational.provenance.BoolExpr` objects) survive as the
+the expression trees of ``tests/oracles/provenance.py``) survive as the
 test oracle ``tests/oracles/expressions.py``.
 
 ``M.predict(...)`` is the only source of uncertainty: the queried data is

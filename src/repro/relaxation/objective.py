@@ -104,8 +104,7 @@ class RelaxedComplaintObjective:
                     # never relaxed (e.g. an AVG over a group whose relaxed
                     # count is zero must not raise here).
                     continue
-                node = _value_complaint_node(result, complaint)
-                roots.append(node)
+                roots.append(complaint.cell_node(result))
                 self._root_targets.append(float(complaint.value))
                 continue
             if isinstance(complaint, TupleComplaint):
@@ -215,15 +214,3 @@ def batched_q_and_grads(
         q_grads.append(grad)
     return q_values, q_grads
 
-
-def _value_complaint_node(result: QueryResult, complaint: ValueComplaint) -> int:
-    """Compiled node of a value complaint's cell polynomial."""
-    if complaint.group_key is not None:
-        group = result.group_by_key(complaint.group_key)
-        try:
-            return group.cell_nodes[complaint.column]
-        except KeyError:
-            raise RelaxationError(
-                f"column {complaint.column!r} is not an aggregate output"
-            ) from None
-    return result.cell_node(complaint.row_index, complaint.column)

@@ -9,12 +9,12 @@ from repro.complaints import (
     TupleComplaint,
     ValueComplaint,
     all_satisfied,
-    all_satisfied_columnar,
 )
 from repro.errors import ComplaintError
 from repro.relational import Executor, plan_sql
 
 from oracles import TreeExecutor
+from oracles import provenance as tree
 
 
 @pytest.fixture()
@@ -69,10 +69,11 @@ class TestValueComplaint:
     def test_group_key_reaches_empty_groups(self, group_result):
         # Both classes have candidate groups even if one is empty right now.
         for label in (0, 1):
-            poly = ValueComplaint(
+            complaint = ValueComplaint(
                 column="count", op="=", value=0, group_key=(label,)
-            ).polynomial(group_result)
-            assert poly is not None
+            )
+            assert complaint.cell_node(group_result) >= 0
+            assert tree.polynomial(complaint, group_result) is not None
 
 
 class TestTupleComplaint:
@@ -96,7 +97,7 @@ class TestTupleComplaint:
 
     def test_missing_group_key_raises(self, group_result):
         with pytest.raises(ComplaintError, match="no group"):
-            TupleComplaint(group_key=("nope",)).condition(group_result)
+            TupleComplaint(group_key=("nope",)).condition_node(group_result)
 
 
 class TestPredictionComplaint:
@@ -136,17 +137,18 @@ class TestComplaintCase:
 
 
 class TestColumnarSatisfied:
-    """``all_satisfied_columnar`` agrees with the tree reference.
+    """``all_satisfied`` agrees with the oracle's tree walk.
 
     The Rain loop evaluates complaint satisfaction with one vectorized
-    compiled forward per result instead of the tree walk; every
-    complaint shape must produce the same flag.
+    compiled forward per result; the oracle materializes each complaint's
+    tree and evaluates it.  Every complaint shape must produce the same
+    flag.
     """
 
     def _agree(self, case_results) -> bool:
-        tree = all_satisfied(case_results)
-        assert all_satisfied_columnar(case_results) == tree
-        return tree
+        flag = tree.all_satisfied(case_results)
+        assert all_satisfied(case_results) == flag
+        return flag
 
     def test_value_complaints_all_ops(self, count_result):
         current = count_result.scalar("count")
@@ -197,7 +199,7 @@ class TestColumnarSatisfied:
     def test_tuple_complaint_lineage_vacuous(self, simple_db):
         # flag = 1 deterministically filters odd rows before prediction:
         # a lineage complaint on a filtered row is vacuously satisfied in
-        # both representations (tree: prov.FALSE; columnar: no node).
+        # both representations (tree: FALSE; columnar: FALSE_NODE).
         plan = plan_sql(
             "SELECT * FROM R WHERE flag = 1 AND predict(*) = 1", simple_db
         )
@@ -221,15 +223,20 @@ class TestColumnarSatisfied:
         assert self._agree([(good, count_result)]) is True
         assert self._agree([(bad, count_result)]) is False
 
-    def test_tree_results_fall_back(self, simple_db):
+    def test_tree_results_match_compiled(self, simple_db):
+        # The oracle's walk also reads the tree executor's results, which
+        # have no pool; the library check reads only compiled ones.
         plan = plan_sql("SELECT COUNT(*) FROM R WHERE predict(*) = 1", simple_db)
-        result = TreeExecutor(simple_db).execute(plan, debug=True)
-        current = result.scalar("count")
-        case = ComplaintCase(
-            "q",
-            [ValueComplaint(column="count", op="=", value=current, row_index=0)],
-        )
-        assert self._agree([(case, result)]) is True
+        tree_result = TreeExecutor(simple_db).execute(plan, debug=True)
+        compiled = Executor(simple_db).execute(plan, debug=True)
+        current = tree_result.scalar("count")
+        for value, expected in ((current, True), (current + 1, False)):
+            case = ComplaintCase(
+                "q",
+                [ValueComplaint(column="count", op="=", value=value, row_index=0)],
+            )
+            assert tree.all_satisfied([(case, tree_result)]) is expected
+            assert all_satisfied([(case, compiled)]) is expected
 
     def test_mixed_cases_over_multiple_results(self, count_result, group_result):
         current = count_result.scalar("count")

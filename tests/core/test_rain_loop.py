@@ -356,18 +356,19 @@ class TestTwoStepSharedPlan:
 
 def _drain_against_oracle(monkeypatch):
     """Wrap the loop's columnar drain; record (columnar, tree oracle) flags."""
-    from repro.complaints.complaint import all_satisfied
     from repro.core import rain
 
+    from oracles.provenance import all_satisfied
+
     pairs = []
-    columnar = rain.all_satisfied_columnar
+    columnar = rain.all_satisfied
 
     def checked(case_results):
         flag = columnar(case_results)
         pairs.append((flag, all_satisfied(case_results)))
         return flag
 
-    monkeypatch.setattr(rain, "all_satisfied_columnar", checked)
+    monkeypatch.setattr(rain, "all_satisfied", checked)
     return pairs
 
 

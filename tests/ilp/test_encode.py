@@ -8,6 +8,8 @@ from repro.errors import ILPError
 from repro.ilp import TiresiasEncoder, enumerate_optima, solve
 from repro.relational import Database, Executor, Relation, plan_sql
 
+from oracles.provenance import to_expr
+
 
 @pytest.fixture()
 def count_result(simple_db):
@@ -46,7 +48,7 @@ class TestCountComplaints:
         )
         solution = solve(encoder.program)
         targets = encoder.solution_targets(solution)
-        poly = count_result.cell_polynomial(0, "count")
+        poly = to_expr(count_result.pool, count_result.cell_node(0, "count"))
         assert poly.evaluate(targets) == pytest.approx(target)
 
     def test_inequality_complaint(self, count_result):
@@ -106,7 +108,7 @@ class TestTupleComplaints:
         encoder.add_complaint(TupleComplaint(row_index=0))
         solution = solve(encoder.program)
         targets = encoder.solution_targets(solution)
-        condition = join_result.tuple_condition(0)
+        condition = to_expr(join_result.pool, join_result.tuple_condition_node(0))
         assert not condition.evaluate(targets)
         assert solution.objective >= 1.0
 
@@ -119,7 +121,8 @@ class TestTupleComplaints:
         solution = solve(encoder.program)
         targets = encoder.solution_targets(solution)
         for i in range(n):
-            assert not join_result.tuple_condition(i).evaluate(targets)
+            node = join_result.tuple_condition_node(i)
+            assert not to_expr(join_result.pool, node).evaluate(targets)
 
 
 class TestAvgComplaints:
@@ -135,7 +138,7 @@ class TestAvgComplaints:
         )
         solution = solve(encoder.program)
         targets = encoder.solution_targets(solution)
-        poly = result.cell_polynomial(0, "avg")
+        poly = to_expr(result.pool, result.cell_node(0, "avg"))
         assert poly.evaluate(targets) == pytest.approx(target)
         assert solution.objective == pytest.approx(2.0)
 

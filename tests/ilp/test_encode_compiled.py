@@ -380,8 +380,7 @@ class TestAuxCacheKeying:
         strong reference: as long as a cache entry exists, its id cannot
         be recycled.
         """
-        import repro.relational.provenance as prov
-
+        from oracles import provenance as prov
         from oracles.encode import _ExprKey
 
         a = prov.and_(prov.PredIs(0, 1), prov.PredIs(1, 1))

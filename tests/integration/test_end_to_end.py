@@ -14,6 +14,8 @@ from repro.experiments import build_dblp_setting, compare_methods, execute_sql
 from repro.experiments.mnist_common import build_count_setting, build_join_setting
 from repro.experiments.table3_auccr import build_enron_setting
 
+from oracles.provenance import condition
+
 
 class TestDBLPPipeline:
     def test_holistic_dominates_loss_medium_corruption(self):
@@ -142,5 +144,4 @@ class TestTupleComplaintEndToEnd:
         key = (int(result.relation.column("predict(*)")[0]),)
         complaint = TupleComplaint(group_key=key)
         assert not complaint.is_satisfied(result)
-        condition = complaint.condition(result)
-        assert len(condition.atoms()) > 0
+        assert len(condition(complaint, result).atoms()) > 0

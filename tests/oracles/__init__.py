@@ -6,6 +6,10 @@ only tests and benchmarks import them: ``pytest.ini`` puts ``tests/`` on
 the import path, and ``tests/analysis/test_oracle_boundary.py`` keeps
 ``src/repro`` from importing them.
 
+- :mod:`oracles.provenance` — the expression-tree provenance language
+  (:class:`BoolExpr`/:class:`NumExpr` and their folding constructors),
+  :func:`to_expr` from pool nodes to trees, and complaints read through
+  trees (:func:`polynomial`, :func:`condition`, :func:`all_satisfied`);
 - :mod:`oracles.executor` — :class:`TreeExecutor`, per-tuple provenance
   trees, with :mod:`oracles.expressions` for the tree-building forms of
   the plan expressions;
@@ -27,6 +31,7 @@ from repro.relational.executor import Executor
 from .encode import TreeEncoder
 from .executor import TreeExecutor, TreeRuntime
 from .objective import InterpretedObjective, batched_case_objectives
+from .provenance import all_satisfied
 from .relax import Relaxer
 from .solver import enumerate_optima_reference, solve_reference
 
@@ -47,15 +52,18 @@ def _tree_execute(self, plan, debug: bool = False):
 
 
 def tree_reference(monkeypatch, linprog: bool = False) -> None:
-    """Route the Rain loop's execute, encode and relax layers through the oracles.
+    """Route the Rain loop's execute, encode, relax and drain layers through the oracles.
 
     Every ``Executor.execute`` call runs on :class:`TreeExecutor` (tree
     lineage, never memoized), TwoStep (and ``auto``'s method choice)
-    encodes with :class:`TreeEncoder`, and Holistic's objectives are
-    :class:`InterpretedObjective`; with ``linprog=True`` TwoStep's optimum
-    enumeration runs on the ``linprog`` branch & bound as well.
+    encodes with :class:`TreeEncoder`, Holistic's objectives are
+    :class:`InterpretedObjective`, and the complaint drain walks trees
+    (:func:`oracles.provenance.all_satisfied`); with ``linprog=True``
+    TwoStep's optimum enumeration runs on the ``linprog`` branch & bound
+    as well.
     """
     monkeypatch.setattr(Executor, "execute", _tree_execute)
+    monkeypatch.setattr(rain, "all_satisfied", all_satisfied)
     monkeypatch.setattr(rankers, "make_encoder", TreeEncoder)
     monkeypatch.setattr(rain, "make_encoder", TreeEncoder)
     monkeypatch.setattr(rankers, "batched_case_objectives", batched_case_objectives)

@@ -23,8 +23,9 @@ from repro.complaints.complaint import (
 )
 from repro.errors import ILPError
 from repro.ilp.encode import Affine, TiresiasEncoder, _affine_add, _affine_scale
-from repro.relational import provenance as prov
 from repro.relational.executor import QueryResult
+
+from . import provenance as prov
 
 __all__ = ["TreeEncoder", "program_signature"]
 
@@ -207,7 +208,7 @@ class TreeEncoder(TiresiasEncoder):
 
     def add_complaint(self, complaint) -> None:
         if isinstance(complaint, ValueComplaint):
-            poly = complaint.polynomial(self.result)
+            poly = prov.polynomial(complaint, self.result)
             if isinstance(poly, prov.DivExpr):
                 # AVG: num / den op X  →  num - X·den op 0 (den ≥ 0).
                 numerator = self.num_affine(poly.numerator)
@@ -221,7 +222,7 @@ class TreeEncoder(TiresiasEncoder):
             )
             return
         if isinstance(complaint, TupleComplaint):
-            condition = complaint.condition(self.result)
+            condition = prov.condition(complaint, self.result)
             affine = self.bool_affine(condition)
             self.program.add_constraint(affine[0], "=", -affine[1])
             return

@@ -1,14 +1,18 @@
 """The seed's tree-provenance executor, kept as a test oracle.
 
 :class:`TreeExecutor` runs a plan the way the seed did: every debug tuple
-carries a :class:`~repro.relational.provenance.BoolExpr` condition built
-row by row, every aggregate cell a
-:class:`~repro.relational.provenance.NumExpr` polynomial built from the
-group's members, and :class:`TreeRuntime` probes its prediction cache and
-interns inference sites one row at a time.  It shares every other operator
-(scans, joins, projections, grouping keys) with
+carries a :class:`~oracles.provenance.BoolExpr` condition built row by
+row, every aggregate cell a :class:`~oracles.provenance.NumExpr`
+polynomial built from the group's members, and :class:`TreeRuntime`
+probes its prediction cache and interns inference sites one row at a
+time.  It shares the join probe and the grouping keys with
 :class:`~repro.relational.executor.Executor`, never memoizes lineage, and
 returns results without a node pool (``result.compiled`` is False).
+
+The library's batches, groups and results carry node ids only, so the
+trees ride on types of their own: :class:`TreeBatch` (``conditions``),
+:class:`TreeGroupInfo` (``condition``, ``cell_polys``) and
+:class:`TreeQueryResult` (``candidate_conditions``).
 
 The compiled executor is pinned to it by the equivalence tests and by the
 end-to-end removal-order checks that route the Rain loop through it
@@ -22,19 +26,75 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import QueryError
-from repro.relational import provenance as prov
-from repro.relational.algebra import Aggregate, AggSpec, Plan
+from repro.relational.algebra import Aggregate, AggSpec, Plan, Project, Scan
 from repro.relational.context import QueryRuntime, TupleBatch
 from repro.relational.executor import (
     Executor,
-    GroupInfo,
     QueryResult,
     _key_sort_token,
     _result_relation,
 )
 from repro.relational.expressions import Expr
 
+from . import provenance as prov
 from .expressions import symbolic_bool, symbolic_num
+
+
+class TreeBatch(TupleBatch):
+    """A batch whose debug tuples carry condition trees (``conditions``)."""
+
+    conditions: list[prov.BoolExpr] | None = None
+
+    @classmethod
+    def of(
+        cls, batch: TupleBatch, conditions: list[prov.BoolExpr] | None
+    ) -> "TreeBatch":
+        """``batch``'s tuples with the given per-tuple conditions."""
+        out = cls(batch.columns, batch.alias_relations, batch.alias_row_ids)
+        out.conditions = conditions
+        return out
+
+    def condition(self, index: int) -> prov.BoolExpr:
+        return prov.TRUE if self.conditions is None else self.conditions[index]
+
+    def take(self, indices: np.ndarray) -> "TreeBatch":
+        conditions = None
+        if self.conditions is not None:
+            conditions = [self.conditions[int(i)] for i in indices]
+        return TreeBatch.of(super().take(indices), conditions)
+
+    @classmethod
+    def paired(
+        cls,
+        left: "TreeBatch",
+        right: "TreeBatch",
+        left_index: np.ndarray,
+        right_index: np.ndarray,
+    ) -> "TreeBatch":
+        conditions = None
+        if left.conditions is not None and right.conditions is not None:
+            conditions = [
+                prov.and_(left.conditions[int(li)], right.conditions[int(ri)])
+                for li, ri in zip(left_index, right_index)
+            ]
+        return cls.of(super().paired(left, right, left_index, right_index), conditions)
+
+
+class TreeGroupInfo:
+    """A candidate group with its condition and cell polynomials as trees."""
+
+    def __init__(self, key: tuple, condition: prov.BoolExpr) -> None:
+        self.key = key
+        self.condition = condition
+        self.cell_polys: dict[str, prov.NumExpr] = {}
+
+
+class TreeQueryResult(QueryResult):
+    """An SP/SPJ result whose candidates' conditions are trees."""
+
+    def __init__(self, *args, candidate_conditions=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.candidate_conditions = candidate_conditions
 
 
 class TreeRuntime(QueryRuntime):
@@ -109,7 +169,10 @@ class TreeRuntime(QueryRuntime):
         """The seed's site-at-a-time interning loop (golden-reference path)."""
         site_ids = []
         for position, row_id in enumerate(row_ids):
-            site = self.sites.intern(model_name, relation_name, int(row_id))
+            interned, _, _ = self.sites.intern_batch(
+                model_name, relation_name, np.asarray([int(row_id)], dtype=np.int64)
+            )
+            site = self.sites[int(interned[0])]
             site_ids.append(site.site_id)
             self._grow_site_stores(len(self.sites))
             if features is not None and self._feat_rows[site.site_id] < 0:
@@ -137,7 +200,7 @@ class TreeExecutor(Executor):
         return self._finalize_spj(plan, batch, runtime)
 
     def _finalize_spj(
-        self, plan: Plan, batch: TupleBatch, runtime: QueryRuntime
+        self, plan: Plan, batch: TreeBatch, runtime: QueryRuntime
     ) -> QueryResult:
         """Concrete or tree-provenance SP/SPJ result."""
         conditions = None
@@ -149,7 +212,7 @@ class TreeExecutor(Executor):
             ]
         else:
             alive = list(range(len(batch)))
-        return QueryResult(
+        return TreeQueryResult(
             relation=_result_relation(batch.take(np.asarray(alive, dtype=np.int64))),
             runtime=runtime,
             candidate_batch=batch if runtime.debug else None,
@@ -158,9 +221,26 @@ class TreeExecutor(Executor):
             is_aggregate=False,
         )
 
+    def _eval_scan(self, plan: Scan, runtime: QueryRuntime) -> TreeBatch:
+        relation = runtime.relation(plan.relation_name)
+        conditions = [prov.TRUE] * len(relation) if runtime.debug else None
+        return TreeBatch.of(
+            TupleBatch.from_relation(relation, plan.effective_alias), conditions
+        )
+
+    def _eval_project(self, plan: Project, runtime: QueryRuntime) -> TreeBatch:
+        batch = self._eval(plan.child, runtime)
+        columns = {
+            name: np.asarray(expr.eval(batch, runtime)) for expr, name in plan.items
+        }
+        return TreeBatch.of(
+            TupleBatch(columns, batch.alias_relations, batch.alias_row_ids),
+            batch.conditions,
+        )
+
     def _apply_predicate(
-        self, batch: TupleBatch, predicate: Expr, runtime: QueryRuntime
-    ) -> TupleBatch:
+        self, batch: TreeBatch, predicate: Expr, runtime: QueryRuntime
+    ) -> TreeBatch:
         if not runtime.debug:
             return super()._apply_predicate(batch, predicate, runtime)
         # Tree (reference): fold the predicate symbolically per row.
@@ -170,7 +250,7 @@ class TreeExecutor(Executor):
         ]
         keep = [i for i, cond in enumerate(combined) if not cond.is_false()]
         filtered = batch.take(np.asarray(keep, dtype=np.int64))
-        return filtered.with_conditions([combined[i] for i in keep])
+        return TreeBatch.of(filtered, [combined[i] for i in keep])
 
     def _execute_aggregate_reference(
         self, plan: Aggregate, runtime: QueryRuntime
@@ -221,13 +301,13 @@ class TreeExecutor(Executor):
         agg_values = self._aggregate_arguments(plan.aggregates, batch, runtime)
 
         group_order = sorted(membership.keys(), key=_key_sort_token)
-        group_infos: list[GroupInfo] = []
+        group_infos: list[TreeGroupInfo] = []
         for key in group_order:
             members = membership[key]
             condition = prov.or_(*[cond for _, cond in members]) if members else prov.FALSE
             if not plan.group_by:
                 condition = prov.TRUE  # a global aggregate row always exists
-            info = GroupInfo(key=key, condition=condition)
+            info = TreeGroupInfo(key, condition)
             for position, spec in enumerate(plan.aggregates):
                 info.cell_polys[spec.name] = _aggregate_polynomial(
                     spec, position, members, agg_values
@@ -263,7 +343,7 @@ class TreeExecutor(Executor):
     def _aggregate_arguments(
         self,
         aggregates: Sequence[AggSpec],
-        batch: TupleBatch,
+        batch: TreeBatch,
         runtime: QueryRuntime,
     ) -> dict[int, list[prov.NumExpr]]:
         """Per-aggregate numeric provenance of each input row."""

@@ -1,9 +1,9 @@
 """Tree-building symbolic forms of the plan expressions (test oracle).
 
 The seed's expressions built per-tuple provenance trees:
-``symbolic_bool`` gives one :class:`~repro.relational.provenance.BoolExpr`
+``symbolic_bool`` gives one :class:`~oracles.provenance.BoolExpr`
 per tuple, ``symbolic_num`` one
-:class:`~repro.relational.provenance.NumExpr`.  The library now emits
+:class:`~oracles.provenance.NumExpr`.  The library now emits
 node ids into a :class:`~repro.relational.compile.NodePool` instead
 (``symbolic_bool_nodes``/``symbolic_num_nodes``); these functions keep
 the tree forms for :class:`~oracles.executor.TreeExecutor` and the
@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import UnsupportedQueryError
-from repro.relational import provenance as prov
 from repro.relational.context import QueryRuntime, TupleBatch
 from repro.relational.expressions import (
     _COMPARATORS,
@@ -30,6 +29,8 @@ from repro.relational.expressions import (
     ModelPredict,
     _safe_compare,
 )
+
+from . import provenance as prov
 
 
 def symbolic_bool(

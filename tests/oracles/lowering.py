@@ -1,8 +1,8 @@
 """Lowering of interpreted provenance trees into a compiled node pool.
 
 The executor writes compiled nodes directly, so only tests lower trees:
-:func:`add_expr` turns a :class:`~repro.relational.provenance.BoolExpr` or
-:class:`~repro.relational.provenance.NumExpr` DAG into pool nodes, which
+:func:`add_expr` turns a :class:`~oracles.provenance.BoolExpr` or
+:class:`~oracles.provenance.NumExpr` DAG into pool nodes, which
 lets the equivalence tests run one expression through both the tree
 interpreter and :class:`~repro.relational.compile.CompiledProvenance`.
 """
@@ -14,7 +14,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import ProvenanceError
-from repro.relational import provenance as prov
 from repro.relational.compile import (
     FALSE_NODE,
     OP_ADD,
@@ -28,6 +27,7 @@ from repro.relational.compile import (
     NodePool,
 )
 
+from . import provenance as prov
 from .relax import _children as _tree_children
 
 
@@ -68,7 +68,8 @@ def _lower_one(pool: NodePool, node, memo: dict[int, int]) -> int:
     if isinstance(node, prov.FalseExpr):
         return FALSE_NODE
     if isinstance(node, prov.PredIs):
-        return pool.atom(node.site_id, node.label)
+        label_ids = pool.intern_labels(np.asarray([node.label], dtype=object))
+        return int(pool.atoms(np.asarray([node.site_id]), label_ids)[0])
     if isinstance(node, prov.NotExpr):
         return pool._append_scalar(
             OP_NOT, children=(memo[id(node.child)],), is_bool=True

@@ -4,8 +4,9 @@
 :class:`~repro.relaxation.objective.RelaxedComplaintObjective`, one
 :class:`~oracles.relax.Relaxer` reverse sweep over each complaint's
 expression tree instead of one batched sweep over compiled node arrays.
-It accepts compiled results (whose trees materialize lazily from the
-pool) and the tree results of :class:`~oracles.executor.TreeExecutor`.
+It accepts compiled results (whose nodes it materializes as trees with
+:func:`~oracles.provenance.to_expr`) and the tree results of
+:class:`~oracles.executor.TreeExecutor`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.complaints.complaint import (
 from repro.errors import RelaxationError
 from repro.relaxation.objective import RelaxedComplaintObjective
 
+from . import provenance as prov
 from .relax import Relaxer
 
 
@@ -58,14 +60,16 @@ class InterpretedObjective(RelaxedComplaintObjective):
 
     def _complaint_term(self, complaint, P: np.ndarray) -> tuple[float, np.ndarray]:
         if isinstance(complaint, ValueComplaint):
-            poly = complaint.polynomial(self.result)
-            if complaint.op in ("<=", ">=") and complaint.is_satisfied(self.result):
+            poly = prov.polynomial(complaint, self.result)
+            if complaint.op in ("<=", ">=") and complaint.satisfied_by(
+                poly.evaluate(self.result.assignment())
+            ):
                 return 0.0, np.zeros_like(P)
             relaxed, pgrad = self.relaxer.value_and_grad(poly, P)
             residual = relaxed - complaint.value
             return residual**2, 2.0 * residual * pgrad
         if isinstance(complaint, TupleComplaint):
-            condition = complaint.condition(self.result)
+            condition = prov.condition(complaint, self.result)
             relaxed, pgrad = self.relaxer.value_and_grad(condition, P)
             return relaxed**2, 2.0 * relaxed * pgrad
         if isinstance(complaint, PredictionComplaint):

@@ -33,7 +33,8 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.errors import RelaxationError
-from repro.relational import provenance as prov
+
+from . import provenance as prov
 
 
 class Relaxer:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ProvenanceError, RelaxationError
-from repro.relational import provenance as prov
 from repro.relational.compile import (
     FALSE_NODE,
     TRUE_NODE,
@@ -19,7 +18,9 @@ from repro.relational.compile import (
 )
 
 from oracles import Relaxer
+from oracles import provenance as prov
 from oracles.lowering import add_expr, add_exprs
+from oracles.provenance import to_expr
 
 N_SITES = 8
 CLASS_COLUMNS = {0: 0, 1: 1}
@@ -59,6 +60,12 @@ def random_num(rng, depth):
             prov.LinearSum([(1.0, prov.TRUE), (1.0, random_bool(rng, 1))]),
         )
     return prov.ConstNum(float(rng.normal()))
+
+
+def atom_nodes(pool, site_ids, label):
+    """The atom nodes ``[site = label]`` for each of ``site_ids``."""
+    labels = pool.intern_labels(np.asarray([label] * len(site_ids), dtype=object))
+    return pool.atoms(np.asarray(site_ids), labels)
 
 
 def random_assignment(rng):
@@ -108,7 +115,7 @@ class TestRandomizedEquivalence:
             expr = random_num(rng, 3)
             pool = NodePool()
             root = add_expr(pool, expr)
-            back = pool.to_expr(root)
+            back = to_expr(pool, root)
             assignment = random_assignment(rng)
             want = float(expr.evaluate(assignment))
             got = float(back.evaluate(assignment))
@@ -119,9 +126,9 @@ class TestRandomizedEquivalence:
 
     def test_materialized_trees_are_shared_objects(self):
         pool = NodePool()
-        atom = pool.atom(0, 1)
-        first = pool.to_expr(atom)
-        second = pool.to_expr(atom)
+        atom = int(atom_nodes(pool, [0], 1)[0])
+        first = to_expr(pool, atom)
+        second = to_expr(pool, atom)
         assert first is second
 
 
@@ -156,12 +163,12 @@ class TestBuilders:
         assert out[1] == FALSE_NODE
         assert out[2] == atoms[0]
         assert out[3] == FALSE_NODE
-        tree = pool.to_expr(int(out[4]))
+        tree = to_expr(pool, int(out[4]))
         assert isinstance(tree, prov.OrExpr)
 
     def test_not_folds_double_negation(self):
         pool = NodePool()
-        atom = np.asarray([pool.atom(0, 1)])
+        atom = atom_nodes(pool, [0], 1)
         negated = pool.not_(atom)
         assert pool.not_(negated)[0] == atom[0]
         assert pool.not_(np.asarray([TRUE_NODE]))[0] == FALSE_NODE
@@ -171,7 +178,7 @@ class TestBuilders:
         labels = pool.intern_labels(np.asarray([1, 1, 0], dtype=object))
         first = pool.atoms(np.asarray([3, 3, 3]), labels)
         assert first[0] == first[1] != first[2]
-        again = pool.atom(3, 1)
+        again = atom_nodes(pool, [3], 1)[0]
         assert again == first[0]
 
     def test_empty_add_segment_is_empty_linear_sum(self):
@@ -179,7 +186,7 @@ class TestBuilders:
         out = pool.add_segments(
             np.empty(0), np.empty(0, dtype=np.int64), np.asarray([0, 0])
         )
-        tree = pool.to_expr(int(out[0]))
+        tree = to_expr(pool, int(out[0]))
         assert isinstance(tree, prov.LinearSum)
         assert tree.evaluate({}) == 0.0
         program = CompiledProvenance(pool, out)

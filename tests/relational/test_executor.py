@@ -20,7 +20,15 @@ from repro.relational import (
     Relation,
     Scan,
 )
-from repro.relational import provenance as prov
+from repro.relational.compile import TRUE_NODE
+
+from oracles import provenance as prov
+from oracles.provenance import to_expr
+
+
+def cell_tree(result, row_index, column):
+    """The oracle tree of an output cell's polynomial."""
+    return to_expr(result.pool, result.cell_node(row_index, column))
 
 
 @pytest.fixture()
@@ -72,15 +80,16 @@ class TestScanFilterProject:
     def test_debug_conditions_are_atoms(self, executor):
         plan = Filter(scan(), Cmp("=", ModelPredict("m", Col("features")), Const(1)))
         result = executor.execute(plan, debug=True)
-        for condition in result.candidate_conditions:
-            assert isinstance(condition, prov.PredIs)
+        for node in result.candidate_cond_nodes:
+            assert isinstance(to_expr(result.pool, node), prov.PredIs)
 
     def test_tuple_condition_consistency(self, executor):
         plan = Filter(scan(), Cmp("=", ModelPredict("m", Col("features")), Const(1)))
         result = executor.execute(plan, debug=True)
         assignment = result.assignment()
         for row in range(len(result.relation)):
-            assert result.tuple_condition(row).evaluate(assignment)
+            node = result.tuple_condition_node(row)
+            assert to_expr(result.pool, node).evaluate(assignment)
 
     def test_mixed_predicate_folds_deterministic_part(self, executor):
         predicate = BoolAnd(
@@ -96,7 +105,7 @@ class TestScanFilterProject:
     def test_lineage_requires_debug(self, executor):
         result = executor.execute(scan())
         with pytest.raises(ProvenanceError, match="debug"):
-            result.tuple_condition(0)
+            result.tuple_condition_node(0)
 
 
 class TestJoin:
@@ -191,7 +200,7 @@ class TestJoinEdgeCases:
         result = Executor(edge_db).execute(self.equi("E", "B"), debug=True)
         assert len(result.relation) == 0
         assert len(result.candidate_batch) == 0
-        assert result.candidate_conditions == []
+        assert result.candidate_cond_nodes.tolist() == []
 
     def test_duplicate_keys_produce_all_pairs(self, edge_db):
         result = Executor(edge_db).execute(self.equi("A", "B"))
@@ -219,7 +228,7 @@ class TestJoinEdgeCases:
         plan = Aggregate(self.equi("E", "B"), (), [AggSpec("count", None, "count")])
         result = Executor(edge_db).execute(plan, debug=True)
         assert result.scalar("count") == 0.0
-        poly = result.cell_polynomial(0, "count")
+        poly = cell_tree(result, 0, "count")
         assert poly.evaluate(result.assignment()) == 0.0
 
 
@@ -278,7 +287,7 @@ class TestModelJoin:
             == result.candidate_batch.alias_row_ids["b"][i]
         ]
         for index in diagonal:
-            assert result.candidate_batch.conditions[index].is_true()
+            assert result.candidate_batch.cond_nodes[index] == TRUE_NODE
 
 
 class TestAggregates:
@@ -323,7 +332,7 @@ class TestAggregates:
             [AggSpec("count", None, "count")],
         )
         result = executor.execute(plan, debug=True)
-        poly = result.cell_polynomial(0, "count")
+        poly = cell_tree(result, 0, "count")
         assert isinstance(poly, prov.LinearSum)
         assert len(poly.terms) == 25  # every row is a candidate
         assert poly.evaluate(result.assignment()) == result.scalar("count")
@@ -347,7 +356,7 @@ class TestAggregates:
             [AggSpec("avg", ModelPredict("m", Col("features")), "avg")],
         )
         result = executor.execute(plan, debug=True)
-        poly = result.cell_polynomial(0, "avg")
+        poly = cell_tree(result, 0, "avg")
         assert isinstance(poly, prov.DivExpr)
         assert poly.evaluate(result.assignment()) == pytest.approx(result.scalar("avg"))
 
@@ -360,13 +369,14 @@ class TestAggregates:
         result = executor.execute(plan, debug=True)
         assignment = result.assignment()
         for output_row, group_index in enumerate(result.output_to_group):
-            assert result.groups[group_index].condition.evaluate(assignment)
+            node = result.groups[group_index].condition_node
+            assert to_expr(result.pool, node).evaluate(assignment)
 
     def test_unknown_cell_polynomial_raises(self, executor):
         plan = Aggregate(scan(), (), [AggSpec("count", None, "count")])
         result = executor.execute(plan, debug=True)
         with pytest.raises(ProvenanceError, match="not an aggregate output"):
-            result.cell_polynomial(0, "nope")
+            result.cell_node(0, "nope")
 
 
 class TestEmptyGroupProvenance:
@@ -380,14 +390,14 @@ class TestEmptyGroupProvenance:
         plan = Aggregate(self.empty_scan(), (), [AggSpec("sum", Col("id"), "s")])
         result = executor.execute(plan, debug=True)
         assert result.scalar("s") == 0.0
-        poly = result.cell_polynomial(0, "s")
+        poly = cell_tree(result, 0, "s")
         assert poly.evaluate(result.assignment()) == 0.0
         assert poly.atoms() == set()
 
     def test_global_count_polynomial_over_empty_input(self, executor):
         plan = Aggregate(self.empty_scan(), (), [AggSpec("count", None, "count")])
         result = executor.execute(plan, debug=True)
-        poly = result.cell_polynomial(0, "count")
+        poly = cell_tree(result, 0, "count")
         assert isinstance(poly, prov.LinearSum)
         assert poly.terms == ()
         assert poly.evaluate(result.assignment()) == 0.0
@@ -395,7 +405,7 @@ class TestEmptyGroupProvenance:
     def test_global_avg_over_empty_input_is_nan(self, executor):
         plan = Aggregate(self.empty_scan(), (), [AggSpec("avg", Col("id"), "a")])
         result = executor.execute(plan, debug=True)
-        poly = result.cell_polynomial(0, "a")
+        poly = cell_tree(result, 0, "a")
         assert np.isnan(poly.evaluate(result.assignment()))
 
     def test_empty_global_group_always_exists(self, executor):
@@ -403,7 +413,7 @@ class TestEmptyGroupProvenance:
         result = executor.execute(plan, debug=True)
         assert len(result.relation) == 1
         assert len(result.groups) == 1
-        assert result.groups[0].condition.is_true()
+        assert result.groups[0].condition_node == TRUE_NODE
 
     def test_currently_empty_predict_group_has_polynomial(self, executor, simple_db):
         """A predict() class group with no current members is still a
@@ -421,7 +431,8 @@ class TestEmptyGroupProvenance:
         # Both classes are candidate groups regardless of current membership.
         assert {group.key for group in result.groups} == {(0,), (1,)}
         for label in (0, 1):
-            poly = result.group_polynomial_by_key((label,), "count")
+            node = result.cell_node_for("count", group_key=(label,))
+            poly = to_expr(result.pool, node)
             assert poly.evaluate(assignment) == float(np.sum(predicted == label))
 
     def test_empty_group_not_in_concrete_output(self, executor):
@@ -435,7 +446,7 @@ class TestEmptyGroupProvenance:
         assert len(result.relation) == 0
         assert result.groups == []
         with pytest.raises(ProvenanceError, match="no candidate group"):
-            result.group_polynomial_by_key((0,), "count")
+            result.group_by_key((0,))
 
     def test_scalar_requires_single_row(self, executor):
         plan = Aggregate(

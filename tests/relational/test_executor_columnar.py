@@ -29,6 +29,7 @@ from repro.relational import (
     Scan,
 )
 from oracles import Relaxer, TreeExecutor
+from oracles.provenance import to_expr
 
 
 @pytest.fixture()
@@ -168,27 +169,29 @@ class TestCompiledVsTree:
         if compiled.is_aggregate:
             assert [g.key for g in compiled.groups] == [g.key for g in tree.groups]
             for got, want in zip(compiled.groups, tree.groups):
-                assert got.condition.evaluate(assignment) == want.condition.evaluate(
+                got_condition = to_expr(compiled.pool, got.condition_node)
+                assert got_condition.evaluate(assignment) == want.condition.evaluate(
                     assignment
                 )
-                assert relaxer.value(got.condition, P) == pytest.approx(
+                assert relaxer.value(got_condition, P) == pytest.approx(
                     relaxer.value(want.condition, P), abs=1e-9
                 )
                 for column, poly in want.cell_polys.items():
-                    got_value = got.cell_polys[column].evaluate(assignment)
+                    got_poly = to_expr(compiled.pool, got.cell_nodes[column])
+                    got_value = got_poly.evaluate(assignment)
                     want_value = poly.evaluate(assignment)
                     if np.isnan(want_value):
                         assert np.isnan(got_value)
                     else:
                         assert got_value == pytest.approx(want_value, abs=1e-9)
-                    assert relaxer.value(got.cell_polys[column], P) == pytest.approx(
+                    assert relaxer.value(got_poly, P) == pytest.approx(
                         relaxer.value(poly, P), abs=1e-9
                     )
         else:
             assert len(compiled.candidate_batch) == len(tree.candidate_batch)
             assert compiled.output_to_candidate == tree.output_to_candidate
             for index in range(len(tree.candidate_batch)):
-                got = compiled.candidate_conditions[index]
+                got = to_expr(compiled.pool, compiled.candidate_cond_nodes[index])
                 want = tree.candidate_conditions[index]
                 assert got.evaluate(assignment) == want.evaluate(assignment)
                 assert relaxer.value(got, P) == pytest.approx(
@@ -236,9 +239,10 @@ class TestColumnarJoin:
         assignment = tree.assignment()
         assert len(compiled.candidate_batch) == len(tree.candidate_batch)
         for index in range(len(tree.candidate_batch)):
-            assert compiled.candidate_conditions[index].evaluate(
-                assignment
-            ) == tree.candidate_conditions[index].evaluate(assignment)
+            got = to_expr(compiled.pool, compiled.candidate_cond_nodes[index])
+            assert got.evaluate(assignment) == tree.candidate_conditions[
+                index
+            ].evaluate(assignment)
 
     def test_empty_join_sides(self, join_db):
         executor = Executor(join_db)
@@ -349,9 +353,10 @@ class TestReferenceParityEdgeCases:
         assert len(compiled.candidate_batch) == len(tree.candidate_batch)
         assignment = tree.assignment()
         for index in range(len(tree.candidate_batch)):
-            assert compiled.candidate_conditions[index].evaluate(
-                assignment
-            ) == tree.candidate_conditions[index].evaluate(assignment)
+            got = to_expr(compiled.pool, compiled.candidate_cond_nodes[index])
+            assert got.evaluate(assignment) == tree.candidate_conditions[
+                index
+            ].evaluate(assignment)
 
 
 class TestEmptyInputs:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError, UnsupportedQueryError
-from repro.relational import provenance as prov
 from repro.relational.context import QueryRuntime, TupleBatch
 from repro.relational.expressions import (
     Arith,
@@ -19,13 +18,17 @@ from repro.relational.expressions import (
     predict,
 )
 
+from oracles import provenance as prov
+from oracles.executor import TreeBatch
 from oracles.expressions import symbolic_bool, symbolic_num
 
 
 @pytest.fixture()
 def batch(simple_db):
     relation = simple_db.relation("R")
-    return TupleBatch.from_relation(relation, "R", debug=True)
+    return TreeBatch.of(
+        TupleBatch.from_relation(relation, "R"), [prov.TRUE] * len(relation)
+    )
 
 
 @pytest.fixture()
@@ -92,8 +95,9 @@ class TestBooleanExprs:
 class TestLike:
     def make_text_batch(self):
         texts = np.asarray(["hello http world", "deal me in", "plain"], dtype=object)
-        return TupleBatch(
-            {"T.text": texts}, {"T": "T"}, {"T": np.arange(3)}, [prov.TRUE] * 3
+        return TreeBatch.of(
+            TupleBatch({"T.text": texts}, {"T": "T"}, {"T": np.arange(3)}),
+            [prov.TRUE] * 3,
         )
 
     def test_contains(self, runtime):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.complaints import ComplaintCase, TupleComplaint, ValueComplaint
-from repro.complaints.complaint import all_satisfied_columnar
+from repro.complaints.complaint import all_satisfied
 from repro.core import RainDebugger
 from repro.errors import ProvenanceError
 from repro.data import corrupt_labels, make_adult, section65_predicate
@@ -177,9 +177,7 @@ def _assert_matches_fresh(result, fresh, case) -> None:
     assert len(result.pool) == len(fresh.pool)
     np.testing.assert_array_equal(_lineage_nodes(result), _lineage_nodes(fresh))
     np.testing.assert_array_equal(_node_values(result), _node_values(fresh))
-    assert all_satisfied_columnar([(case, result)]) == all_satisfied_columnar(
-        [(case, fresh)]
-    )
+    assert all_satisfied([(case, result)]) == all_satisfied([(case, fresh)])
 
 
 def _relation_signature(result) -> tuple:

@@ -1,4 +1,4 @@
-"""Unit + property tests for provenance polynomials."""
+"""Unit + property tests for the oracle's provenance trees and the site registry."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProvenanceError
-from repro.relational import provenance as prov
+from repro.relational.provenance import SiteRegistry
+
+from oracles import provenance as prov
 
 
 class TestConstructors:
@@ -125,25 +127,47 @@ class TestNumeric:
 
 
 class TestSiteRegistry:
+    @staticmethod
+    def intern(registry, model_name, relation_name, row_id):
+        sites, _, _ = registry.intern_batch(
+            model_name, relation_name, np.asarray([row_id], dtype=np.int64)
+        )
+        return registry[int(sites[0])]
+
     def test_intern_dedupes(self):
-        registry = prov.SiteRegistry()
-        a = registry.intern("m", "R", 5)
-        b = registry.intern("m", "R", 5)
+        registry = SiteRegistry()
+        a = self.intern(registry, "m", "R", 5)
+        b = self.intern(registry, "m", "R", 5)
         assert a is b
         assert len(registry) == 1
 
     def test_distinct_keys_distinct_sites(self):
-        registry = prov.SiteRegistry()
-        a = registry.intern("m", "R", 5)
-        b = registry.intern("m", "S", 5)
-        c = registry.intern("m2", "R", 5)
+        registry = SiteRegistry()
+        a = self.intern(registry, "m", "R", 5)
+        b = self.intern(registry, "m", "S", 5)
+        c = self.intern(registry, "m2", "R", 5)
         assert len({a.site_id, b.site_id, c.site_id}) == 3
 
     def test_indexing(self):
-        registry = prov.SiteRegistry()
-        site = registry.intern("m", "R", 0)
+        registry = SiteRegistry()
+        site = self.intern(registry, "m", "R", 0)
         assert registry[site.site_id] is site
         assert registry.sites == [site]
+
+    def test_batch_interning_reports_new_rows(self):
+        registry = SiteRegistry()
+        sites, new_rows, first = registry.intern_batch(
+            "m", "R", np.asarray([4, 2, 4], dtype=np.int64)
+        )
+        assert first == 0
+        assert new_rows.tolist() == [2, 4]
+        assert sites.tolist() == [1, 0, 1]
+        again, new_rows, first = registry.intern_batch(
+            "m", "R", np.asarray([2, 7], dtype=np.int64)
+        )
+        assert again.tolist() == [0, 2]
+        assert new_rows.tolist() == [7]
+        assert first == 2
 
 
 # -- property tests -----------------------------------------------------------

@@ -22,7 +22,6 @@ from repro.complaints import (
     TupleComplaint,
     ValueComplaint,
     all_satisfied,
-    all_satisfied_columnar,
 )
 from repro.relational import (
     Aggregate,
@@ -44,6 +43,7 @@ from repro.relational import (
 from repro.relaxation import RelaxedComplaintObjective
 
 from oracles import InterpretedObjective, TreeExecutor
+from oracles.provenance import all_satisfied as tree_all_satisfied
 
 SEEDS = list(range(8))
 
@@ -232,6 +232,6 @@ class TestRandomizedCompiledVsTree:
         )
 
         case = ComplaintCase(plan, complaints)
-        assert all_satisfied_columnar([(case, compiled)]) == all_satisfied(
+        assert all_satisfied([(case, compiled)]) == tree_all_satisfied(
             [(case, tree)]
         )

@@ -7,6 +7,8 @@ from repro.errors import SQLSyntaxError, UnsupportedQueryError
 from repro.relational import Database, Executor, Relation, plan_sql
 from repro.relational.sql import parse
 
+from oracles.provenance import to_expr
+
 
 @pytest.fixture()
 def db(fitted_binary_model):
@@ -177,5 +179,5 @@ class TestExecution:
 
     def test_debug_mode_sql(self, db):
         result = run(db, "SELECT COUNT(*) FROM users WHERE predict(*) = 1", debug=True)
-        poly = result.cell_polynomial(0, "count")
+        poly = to_expr(result.pool, result.cell_node(0, "count"))
         assert poly.evaluate(result.assignment()) == result.scalar("count")

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from repro.complaints import PredictionComplaint, TupleComplaint, ValueComplaint
 from repro.errors import RelaxationError
 from repro.relational import Database, Executor, Relation, plan_sql
-from repro.relational import provenance as prov
 from repro.relaxation import RelaxedComplaintObjective
 
 from oracles import Relaxer
+from oracles import provenance as prov
 
 
 def binary_relaxer(n_sites=4):
